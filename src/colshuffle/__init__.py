@@ -25,7 +25,7 @@ from .configurations import (ColouredConfiguration, Label,
                              evaluate_label, make_strongly_disjoint,
                              merge_labels, parse_labelled_configuration)
 from .ratfun import (DEFAULT_ORDER, LaurentPoly, RationalGF, SeriesY, equal,
-                     expand, hadamard_series, scale_y, substitute, w_of)
+                     expand, scale_y, substitute, w_of)
 from .mpoly import MPoly
 from .shuffle_algebra import (STATISTICS, CompatReport, HImage,
                               check_shuffle_compatibility, h_map, h_of,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import NotCoherent, ParseError, SymbolOverlap
@@ -56,9 +55,6 @@ class SignedMonomial(NamedTuple):
 
     def __pow__(self, k: int) -> "SignedMonomial":
         return SignedMonomial(self.sign if k % 2 else 1, self.exponent * k)
-
-    def value_at(self, q: Fraction) -> Fraction:
-        return self.sign * Fraction(q) ** self.exponent
 
     def __str__(self):
         s = "-" if self.sign < 0 else ""
@@ -174,12 +170,6 @@ class ColouredConfiguration:
     def support(self) -> tuple[ColouredPermutation, ...]:
         return tuple(p for p, _ in self.terms)
 
-    def multiplicity(self, perm: ColouredPermutation) -> int:
-        for p, m in self.terms:
-            if p == perm:
-                return m
-        return 0
-
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.terms)
 
@@ -276,7 +266,7 @@ class LabelledConfiguration:
     @classmethod
     def from_json_obj(cls, obj) -> "LabelledConfiguration":
         config = ColouredConfiguration(
-            (ColouredPermutation.from_pairs(t["perm"]), int(t["mult"]))
+            (ColouredPermutation(t["perm"]), int(t["mult"]))
             for t in obj["config"])
         return cls(config, Label.from_json_obj(obj.get("label", [])))
 

@@ -43,7 +43,8 @@ class UnknownFamily(ColshuffleError):
 
 
 class BadParameters(ColshuffleError):
-    """Catalog family parameters out of range."""
+    """Parameters or bounds out of range: catalog family parameters,
+    direct-formula blocks, verification-suite bounds, series orders."""
 
 
 class DeltaMismatch(ColshuffleError):

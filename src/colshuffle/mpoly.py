@@ -111,21 +111,12 @@ class MPoly:
                     out.pop(mono, None)
         return MPoly(out)
 
-    def scale(self, c) -> "MPoly":
-        c = Fraction(c)
-        if not c:
-            return MPoly()
-        return MPoly({m: c * v for m, v in self.coeffs.items()})
-
     def mul_monomial(self, mono: Monomial, c=1) -> "MPoly":
         c = Fraction(c)
         if not c:
             return MPoly()
         return MPoly({monomial_mul(m, mono): c * v
                       for m, v in self.coeffs.items()})
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.coeffs), default=0)
 
     def __repr__(self):
         if not self.coeffs:

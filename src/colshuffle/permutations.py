@@ -85,9 +85,6 @@ class StatTriple(NamedTuple):
     comaj: int
     col: tuple[tuple[int, int], ...]
 
-    def col_dict(self) -> dict[int, int]:
-        return dict(self.col)
-
 
 class ColouredDescentSet:
     """A coloured subset of [n]: positions with a colour each.
@@ -215,16 +212,12 @@ class ColouredPermutation:
     def to_pairs(self) -> list[list[int]]:
         return [[e.symbol, e.colour] for e in self.entries]
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "ColouredPermutation":
-        return cls(pairs)
-
     def to_json(self) -> str:
         return json.dumps(self.to_pairs())
 
     @classmethod
     def from_json(cls, text: str) -> "ColouredPermutation":
-        return cls.from_pairs(json.loads(text))
+        return cls(json.loads(text))
 
 
 EMPTY = ColouredPermutation(())
@@ -257,19 +250,7 @@ def parse_permutation(text: str) -> ColouredPermutation:
 def descent_set(a: ColouredPermutation) -> frozenset[int]:
     """Positions i in [n-1] where entry i exceeds entry i+1 in colour order,
     together with 0 whenever the first colour is nonzero."""
-    ents = a.entries
-    if not ents:
-        return frozenset()
-    des = set()
-    if ents[0].colour != 0:
-        des.add(0)
-    for i in range(len(ents) - 1):
-        s1, c1 = ents[i]
-        s2, c2 = ents[i + 1]
-        # colour order: larger colour sorts lower
-        if c1 < c2 or (c1 == c2 and s1 > s2):
-            des.add(i + 1)
-    return frozenset(des)
+    return descent_data(s_des(a))[0]
 
 
 def stat_triple_raw(entries) -> tuple[int, int, tuple[tuple[int, int], ...]]:

@@ -67,14 +67,6 @@ class TruncatedQSym:
         return TruncatedQSym(self.poly * other.poly, self.m,
                              max(self.r, other.r), self.degree + other.degree)
 
-    def __add__(self, other: "TruncatedQSym") -> "TruncatedQSym":
-        if self.m != other.m:
-            raise ValueError("cutoffs differ")
-        if self.degree != other.degree:
-            raise ValueError("degrees differ")
-        return TruncatedQSym(self.poly + other.poly, self.m,
-                             max(self.r, other.r), self.degree)
-
     def monomial_count(self) -> int:
         return len(self.poly.coeffs)
 

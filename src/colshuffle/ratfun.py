@@ -21,8 +21,10 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .configurations import LabelledConfiguration, SignedMonomial, evaluate_label
-from .errors import OrderMismatch, ZeroSubstitution
+from .configurations import (Label, LabelledConfiguration, SignedMonomial,
+                             evaluate_label)
+from .errors import BadParameters, OrderMismatch, ZeroSubstitution
+from .permutations import ColouredPermutation, stat_triple_raw
 
 __all__ = [
     "LaurentPoly",
@@ -30,7 +32,6 @@ __all__ = [
     "SeriesY",
     "DEFAULT_ORDER",
     "expand",
-    "hadamard_series",
     "w_of",
     "equal",
     "scale_y",
@@ -70,10 +71,6 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, coeff, exponent: int = 0) -> "LaurentPoly":
         return cls({exponent: Fraction(coeff)})
-
-    @classmethod
-    def from_signed(cls, sm: SignedMonomial) -> "LaurentPoly":
-        return cls({sm.exponent: Fraction(sm.sign)})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -121,22 +118,16 @@ class LaurentPoly:
         return LaurentPoly({e + exponent: c * coeff
                             for e, c in self.coeffs.items()})
 
-    def scale(self, coeff) -> "LaurentPoly":
-        return self.monomial_mul(Fraction(coeff), 0)
-
     def eval_at(self, q: Fraction) -> Fraction:
         q = Fraction(q)
         if q == 0 and any(e < 0 for e in self.coeffs):
             raise ZeroSubstitution("negative power of X at X = 0")
         return sum((c * q ** e for e, c in self.coeffs.items()), Fraction(0))
 
-    def min_exponent(self) -> int:
-        return min(self.coeffs, default=0)
-
     def __repr__(self):
         return self.to_text()
 
-    def to_text(self, var: str = "X") -> str:
+    def to_text(self, var: str = "X", latex: bool = False) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -145,33 +136,15 @@ class LaurentPoly:
             if e == 0:
                 body = str(abs(c))
             else:
-                coeff_part = "" if abs(c) == 1 else f"{abs(c)}*"
-                exp_part = var if e == 1 else f"{var}^{e}"
+                coeff_part = ("" if abs(c) == 1
+                              else str(abs(c)) + ("" if latex else "*"))
+                exp_part = (var if e == 1 else
+                            f"{var}^{{{e}}}" if latex else f"{var}^{e}")
                 body = coeff_part + exp_part
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
+            parts.append(("-" if c < 0 else "+", body))
         first_sign, first_body = parts[0]
         text = ("-" if first_sign == "-" else "") + first_body
         for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    def to_latex(self, var: str = "X") -> str:
-        if not self.coeffs:
-            return "0"
-        out = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                body = str(abs(c))
-            else:
-                coeff_part = "" if abs(c) == 1 else str(abs(c))
-                exp_part = var if e == 1 else f"{var}^{{{e}}}"
-                body = coeff_part + exp_part
-            out.append(("-" if c < 0 else "+", body))
-        first_sign, first_body = out[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in out[1:]:
             text += f" {sign} {body}"
         return text
 
@@ -238,12 +211,6 @@ class SeriesY:
     def __hash__(self):
         return hash(self.coefficients)
 
-    def __add__(self, other: "SeriesY") -> "SeriesY":
-        if self.order != other.order:
-            raise OrderMismatch(f"orders {self.order} != {other.order}")
-        return SeriesY([a + b for a, b in
-                        zip(self.coefficients, other.coefficients)])
-
     def hadamard(self, other: "SeriesY") -> "SeriesY":
         if self.order != other.order:
             raise OrderMismatch(f"orders {self.order} != {other.order}")
@@ -269,11 +236,6 @@ class SeriesY:
     def __repr__(self):
         inner = ", ".join(repr(c) for c in self.coefficients)
         return f"SeriesY([{inner}])"
-
-
-def hadamard_series(a: SeriesY, b: SeriesY) -> SeriesY:
-    """Coefficientwise product of two equally truncated series."""
-    return a.hadamard(b)
 
 
 class RationalGF:
@@ -323,23 +285,6 @@ class RationalGF:
         return hash((tuple(sorted((k, hash(v)) for k, v in self.numerator.items())),
                      self.denominator))
 
-    # -- semantics ---------------------------------------------------------
-
-    def expand(self, order: int = DEFAULT_ORDER) -> SeriesY:
-        return expand(self, order)
-
-    def equal(self, other: "RationalGF") -> bool:
-        return equal(self, other)
-
-    def scale_y(self, sm: SignedMonomial) -> "RationalGF":
-        return scale_y(self, sm)
-
-    def substitute(self, x_value, y_scale: SignedMonomial | None = None) -> "RationalGF":
-        return substitute(self, x_value, y_scale)
-
-    def max_y_degree(self) -> int:
-        return max(self.numerator, default=0)
-
     # -- presentation --------------------------------------------------
 
     def _den_grouped(self) -> list[tuple[Factor, int]]:
@@ -355,7 +300,7 @@ class RationalGF:
     def _factor_text(c: Fraction, a: int, latex: bool) -> str:
         # the factor is 1 - c*X^a*Y; render via the Y-coefficient -c*X^a
         mono = LaurentPoly.monomial(-c, a)
-        body = mono.to_latex() if latex else mono.to_text()
+        body = mono.to_text(latex=latex)
         if body.startswith("-"):
             op, mag = "-", body[1:]
         else:
@@ -372,7 +317,7 @@ class RationalGF:
         parts = []
         for k in sorted(self.numerator):
             lp = self.numerator[k]
-            body = lp.to_latex() if latex else lp.to_text()
+            body = lp.to_text(latex=latex)
             if k == 0:
                 parts.append(body)
                 continue
@@ -453,6 +398,8 @@ def expand(r: RationalGF, order: int = DEFAULT_ORDER) -> SeriesY:
     multiplying the result back by the denominator reproduces the numerator
     through the truncation order.
     """
+    if order < 0:
+        raise BadParameters(f"series order must be >= 0, got {order}")
     coeffs = [r.numerator.get(k, LaurentPoly.zero()) for k in range(order + 1)]
     for c, a in r.denominator:
         prev = coeffs[0]
@@ -494,27 +441,42 @@ def substitute(r: RationalGF, x_value, y_scale: SignedMonomial | None = None) ->
     return RationalGF(numerator, denominator)
 
 
+def w_of_terms(terms: Iterable[tuple[ColouredPermutation, int]],
+               label: Label, eps: int) -> RationalGF:
+    """W of the configuration whose (permutation, multiplicity) pairs
+    ``terms`` yields, under ``label``; ``terms`` may be a generator.
+
+    Coefficients are summed as integers per (length, des, X-exponent), and
+    each length's rows are multiplied once by the cofactor that brings them
+    over the common denominator.  No terms give 0.
+    """
+    rows: dict[int, dict[int, dict[int, int]]] = {}
+    for perm, mult in terms:
+        des, comaj, _ = stat_triple_raw(perm.entries)
+        value = evaluate_label(label, perm)
+        by_exp = rows.setdefault(len(perm), {}).setdefault(des, {})
+        e = value.exponent + eps * comaj
+        by_exp[e] = by_exp.get(e, 0) + mult * value.sign
+    if not rows:
+        return RationalGF.zero()
+    max_len = max(rows)
+    numerator: YPoly = {}
+    for length, by_des in rows.items():
+        term: YPoly = {des: LaurentPoly(by_exp)
+                       for des, by_exp in by_des.items()}
+        cofactor = [(Fraction(1), eps * i)
+                    for i in range(length + 1, max_len + 1)]
+        if cofactor:
+            term = _ypoly_mul(term, _ypoly_from_factors(cofactor))
+        numerator = _ypoly_add(numerator, term)
+    denominator = [(Fraction(1), eps * i) for i in range(max_len + 1)]
+    return RationalGF(numerator, denominator)
+
+
 def w_of(lc: LabelledConfiguration, eps: int) -> RationalGF:
     """The rational generating function of a labelled configuration.
 
     The zero configuration gives 0; the configuration consisting of the
     empty permutation alone gives 1/(1-Y).
     """
-    config, label = lc.config, lc.label
-    if config.is_zero():
-        return RationalGF.zero()
-    max_len = config.max_length()
-    denominator = [(Fraction(1), eps * i) for i in range(max_len + 1)]
-    numerator: YPoly = {}
-    for perm, mult in config.terms:
-        st = perm.stat_triple()
-        value = evaluate_label(label, perm)
-        base = LaurentPoly.monomial(mult * value.sign,
-                                    value.exponent + eps * st.comaj)
-        term: YPoly = {st.des: base}
-        cofactor = [(Fraction(1), eps * i)
-                    for i in range(len(perm) + 1, max_len + 1)]
-        if cofactor:
-            term = _ypoly_mul(term, _ypoly_from_factors(cofactor))
-        numerator = _ypoly_add(numerator, term)
-    return RationalGF(numerator, denominator)
+    return w_of_terms(lc.config.terms, lc.label, eps)

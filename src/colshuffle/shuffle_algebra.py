@@ -60,11 +60,17 @@ def hadamard_via_theorem(lhs: LabelledConfiguration,
     function; the latter equals the coefficientwise product of the
     operands' generating functions as series in Y.
     """
+    lc = _shuffle_step(lhs, rhs)
+    return lc, w_of(lc, eps)
+
+
+def _shuffle_step(lhs: LabelledConfiguration,
+                  rhs: LabelledConfiguration) -> LabelledConfiguration:
+    """The shuffled configuration under the merged label."""
     label = merge_labels(lhs, rhs)
     config = config_shuffle(lhs.config, rhs.config)
-    lc = LabelledConfiguration(config,
-                               label.restrict(config.palette_star()))
-    return lc, w_of(lc, eps)
+    return LabelledConfiguration(config,
+                                 label.restrict(config.palette_star()))
 
 
 def hadamard_general(lhs: LabelledConfiguration,
@@ -89,11 +95,11 @@ def hadamard_identity() -> LabelledConfiguration:
 
 def hadamard_iterated(lcs: list[LabelledConfiguration],
                       eps: int) -> tuple[LabelledConfiguration, RationalGF]:
-    """Fold ``hadamard_general`` over a list, keeping the configuration."""
+    """Fold the shuffle step of ``hadamard_general`` over a list; W is
+    computed once, for the final configuration."""
     acc = hadamard_identity()
     for lc in lcs:
-        nxt = make_strongly_disjoint(acc, lc)
-        acc, _ = hadamard_via_theorem(acc, nxt, eps)
+        acc = _shuffle_step(acc, make_strongly_disjoint(acc, lc))
     return acc, w_of(acc, eps)
 
 

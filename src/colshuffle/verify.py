@@ -3,7 +3,8 @@
 Each suite returns a JSON-ready report dict with the fields ``suite``,
 ``cases`` (number of instances checked) and ``failures`` (a list, empty on
 success).  The CLI exposes them behind the ``verify`` subcommand; the test
-suite drives them directly at the documented acceptance bounds.
+suite drives them directly at the documented acceptance bounds.  A bound
+out of range raises ``BadParameters`` before any case runs.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import random
 
 from .configurations import (ColouredConfiguration, Label,
                              LabelledConfiguration, SignedMonomial)
-from .errors import UnknownSuite
+from .errors import BadParameters, UnknownSuite
 from .permutations import (ColouredPermutation, all_coloured_permutations,
                            s_des)
 from .qsym import psi_closed_form_check, verify_product_rule
-from .ratfun import expand, hadamard_series, w_of
+from .ratfun import expand, w_of
 from .shuffle_algebra import (STATISTICS, check_shuffle_compatibility,
                               hadamard_via_theorem)
 from .zeta import build_entry
@@ -31,6 +32,17 @@ __all__ = [
     "run_suite",
     "SUITES",
 ]
+
+
+# bounds that must be positive; every other checked bound may be 0
+_POSITIVE = frozenset({"max_support", "cutoff", "colours"})
+
+
+def _check_bounds(**bounds: int) -> None:
+    for name, value in bounds.items():
+        minimum = 1 if name in _POSITIVE else 0
+        if value < minimum:
+            raise BadParameters(f"{name} must be >= {minimum}, got {value}")
 
 
 def _random_config(rng: random.Random, symbols: list[int], colours: list[int],
@@ -75,14 +87,16 @@ def theorem_suite(trials: int = 200, order: int = 10, seed: int = 0,
                   exp_range: int = 3) -> dict:
     """Random coherent pairs: the closed-form Hadamard product must match
     the coefficientwise product of the expanded series."""
+    _check_bounds(trials=trials, order=order, max_support=max_support,
+                  max_len=max_len, exp_range=exp_range)
     rng = random.Random(seed)
     failures = []
     for case in range(trials):
         lhs, rhs = random_coherent_pair(rng, max_support, max_len, exp_range)
         eps = rng.randint(-2, 2)
         _, closed = hadamard_via_theorem(lhs, rhs, eps)
-        oracle = hadamard_series(expand(w_of(lhs, eps), order),
-                                 expand(w_of(rhs, eps), order))
+        oracle = expand(w_of(lhs, eps), order).hadamard(
+            expand(w_of(rhs, eps), order))
         if expand(closed, order) != oracle:
             failures.append({"case": case, "eps": eps,
                              "lhs": lhs.to_text(), "rhs": rhs.to_text()})
@@ -93,6 +107,7 @@ def theorem_suite(trials: int = 200, order: int = 10, seed: int = 0,
 def qsym_suite(max_len: int = 2, cutoff: int = 4, colours: int = 3) -> dict:
     """Exhaustive product rule for fundamental expansions: F_a * F_b equals
     the sum of F_c over shuffles, for all disjoint pairs up to the bounds."""
+    _check_bounds(max_len=max_len, cutoff=cutoff, colours=colours)
     cases = 0
     failures = []
     for n in range(0, max_len + 1):
@@ -110,6 +125,7 @@ def qsym_suite(max_len: int = 2, cutoff: int = 4, colours: int = 3) -> dict:
 def psi_suite(max_len: int = 4, t_order: int = 8, colours: int = 3) -> dict:
     """Exhaustive check of the specialisation closed form, one permutation
     per coloured-descent-set class."""
+    _check_bounds(max_len=max_len, t_order=t_order, colours=colours)
     cases = 0
     failures = []
     for n in range(0, max_len + 1):
@@ -130,6 +146,8 @@ def compat_suite(max_total_len: int = 5, trials: int = 200, seed: int = 0,
                  colours: int = 3) -> dict:
     """Shuffle-compatibility harness: the descent statistics must be clean
     and the planted non-statistic control must be caught."""
+    _check_bounds(max_total_len=max_total_len, trials=trials,
+                  colours=colours)
     reports = []
     failures = []
     for name in ("des_comaj_col", "sdes"):
@@ -154,6 +172,7 @@ def compat_suite(max_total_len: int = 5, trials: int = 200, seed: int = 0,
 def catalog_suite(max_n: int = 4, max_d: int = 5) -> dict:
     """Rebuild every catalog family over a parameter grid; each build
     verifies the defining identity symbolically."""
+    _check_bounds(max_n=max_n, max_d=max_d)
     cases = 0
     failures = []
     grids = {

@@ -33,13 +33,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .configurations import (ColouredConfiguration, Label,
                              LabelledConfiguration, SignedMonomial)
 from .errors import BadParameters, DeltaMismatch, UnknownFamily
-from .permutations import ColouredPermutation, shuffles, stat_triple
-from .ratfun import LaurentPoly, RationalGF, equal, scale_y, w_of
+from .permutations import (EMPTY, ColouredInteger, ColouredPermutation,
+                           shuffles)
+from .ratfun import RationalGF, equal, scale_y, w_of, w_of_terms
 from .shuffle_algebra import hadamard_iterated
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "underline",
     "underline_block",
     "pi_of",
+    "colourings",
     "hadamard_mde",
     "hadamard_f2d",
     "hadamard_ud",
@@ -79,11 +81,6 @@ class ZetaEntry:
         """The unshifted generating function of the configuration."""
         return w_of(self.lc, self.eps)
 
-    def zeta_rgf(self) -> RationalGF:
-        """The closed form with the argument shift applied (the zeta
-        function itself, with X standing for the residue field size)."""
-        return self.closed_form
-
     def to_json_obj(self) -> dict:
         obj = self.closed_form.to_json_obj()
         obj.update({
@@ -96,37 +93,38 @@ class ZetaEntry:
         return obj
 
 
-def underline_block(lo: int, hi: int) -> ColouredConfiguration:
-    """All colourings of the increasing word lo..hi where entry i carries
-    colour 0 or i.  An empty range gives the empty permutation."""
-    symbols = list(range(lo, hi + 1))
-    perms = []
-    for choice in itertools.product((False, True), repeat=len(symbols)):
-        perms.append(ColouredPermutation(
-            (s, s if pick else 0) for s, pick in zip(symbols, choice)))
-    return ColouredConfiguration.from_permutations(perms)
-
-
-def underline(n: int) -> ColouredConfiguration:
-    """The 2^n colourings of 1..n with entry i coloured 0 or i."""
-    return underline_block(1, n)
+def colourings(words: Iterable[Sequence[int] | ColouredPermutation]
+               ) -> Iterator[ColouredPermutation]:
+    """Each entrywise colouring of uncoloured words, entry s coloured 0 or s,
+    yielded one at a time; each word is validated once."""
+    make = ColouredPermutation._raw
+    for word in words:
+        if isinstance(word, ColouredPermutation):
+            if word.palette_star():
+                raise ValueError("input permutations must be uncoloured")
+        else:
+            word = ColouredPermutation((s, 0) for s in word)
+        choices = [(e, ColouredInteger(e.symbol, e.symbol))
+                   for e in word.entries]
+        for entries in itertools.product(*choices):
+            yield make(entries)
 
 
 def pi_of(perms: Iterable[Sequence[int] | ColouredPermutation]) -> ColouredConfiguration:
     """All entrywise colourings of uncoloured permutations, each entry s
     receiving colour 0 or s."""
-    out = []
-    for sigma in perms:
-        if isinstance(sigma, ColouredPermutation):
-            if sigma.palette_star():
-                raise ValueError("input permutations must be uncoloured")
-            word = [e.symbol for e in sigma.entries]
-        else:
-            word = [int(s) for s in sigma]
-        for choice in itertools.product((False, True), repeat=len(word)):
-            out.append(ColouredPermutation(
-                (s, s if pick else 0) for s, pick in zip(word, choice)))
-    return ColouredConfiguration.from_permutations(out)
+    return ColouredConfiguration.from_permutations(colourings(perms))
+
+
+def underline_block(lo: int, hi: int) -> ColouredConfiguration:
+    """All colourings of the increasing word lo..hi where entry i carries
+    colour 0 or i.  An empty range gives the empty permutation."""
+    return pi_of([range(lo, hi + 1)])
+
+
+def underline(n: int) -> ColouredConfiguration:
+    """The 2^n colourings of 1..n with entry i coloured 0 or i."""
+    return underline_block(1, n)
 
 
 _CONDITION_SO = "residue characteristic != 2"
@@ -248,30 +246,14 @@ def build_entry(family: str, **params: int) -> ZetaEntry:
 # -- direct Hadamard-product formulas ---------------------------------------
 
 
-def _coloured_sum_numerator(words: Sequence[Sequence[int]],
-                            exponent_of_colour, delta: int) -> dict:
-    """Numerator sum over all colourings of the given words.
-
-    Each entry s of a word is either left uncoloured or coloured s; a
-    coloured entry s contributes a factor -X^(exponent_of_colour(s)).  The
-    term of a colouring is that product times X^(delta * comaj) Y^des.
-    """
-    numerator: dict[int, LaurentPoly] = {}
-    for word in words:
-        word = tuple(word)
-        for choice in itertools.product((False, True), repeat=len(word)):
-            perm = ColouredPermutation(
-                (s, s if pick else 0) for s, pick in zip(word, choice))
-            st = stat_triple(perm)
-            sign = 1
-            exp = delta * st.comaj
-            for s, pick in zip(word, choice):
-                if pick:
-                    sign = -sign
-                    exp += exponent_of_colour(s)
-            term = LaurentPoly.monomial(sign, exp)
-            numerator[st.des] = numerator.get(st.des, LaurentPoly.zero()) + term
-    return {k: v for k, v in numerator.items() if not v.is_zero()}
+def _colouring_sum(words: Iterable[Sequence[int] | ColouredPermutation],
+                   exponents: Iterable[int], delta: int) -> RationalGF:
+    """W of all colourings of ``words`` with eps = delta, where colour s is
+    labelled -X^(exponents[s-1]); streamed, never stored."""
+    label = Label({s: SignedMonomial(-1, k)
+                   for s, k in enumerate(exponents, start=1)})
+    return w_of_terms(zip(colourings(words), itertools.repeat(1)), label,
+                      delta)
 
 
 def _check_pi_bound(n: int) -> None:
@@ -301,12 +283,8 @@ def hadamard_mde(dims: Sequence[tuple[int, int]]) -> RationalGF:
     delta = deltas.pop()
     n = len(dims)
     _check_pi_bound(n)
-    d_of = {i + 1: d for i, (d, _) in enumerate(dims)}
-    numerator = _coloured_sum_numerator(
-        itertools.permutations(range(1, n + 1)),
-        lambda s: -d_of[s], delta)
-    denominator = [(Fraction(1), delta * i) for i in range(n + 1)]
-    return RationalGF(numerator, denominator)
+    return _colouring_sum(itertools.permutations(range(1, n + 1)),
+                          [-d for d, _ in dims], delta)
 
 
 @dataclass(frozen=True)
@@ -332,14 +310,10 @@ def hadamard_f2d(d_list: Sequence[int]) -> F2dFormula:
         raise BadParameters("generator counts must be positive")
     n = len(d_list)
     _check_pi_bound(n)
-    d_of = {i + 1: d for i, d in enumerate(d_list)}
-    numerator = _coloured_sum_numerator(
-        itertools.permutations(range(1, n + 1)),
-        lambda s: -d_of[s], 1)
-    denominator = [(Fraction(1), i) for i in range(n + 1)]
+    rgf = _colouring_sum(itertools.permutations(range(1, n + 1)),
+                         [-d for d in d_list], 1)
     shift = SignedMonomial.x_power(-sum(comb(d, 2) for d in d_list))
-    return F2dFormula(RationalGF(numerator, denominator), shift,
-                      (_CONDITION_ODD,))
+    return F2dFormula(rgf, shift, (_CONDITION_ODD,))
 
 
 @dataclass(frozen=True)
@@ -369,21 +343,14 @@ def hadamard_ud(d_list: Sequence[int]) -> UdFormula:
     bounds = list(itertools.accumulate(d_list, initial=0))
     total = bounds[-1]
     _check_pi_bound(total)
-    words: list[tuple[int, ...]] = [()]
+    words = [EMPTY]
     for lo, hi in zip(bounds, bounds[1:]):
         block = ColouredPermutation((s, 0) for s in range(lo + 1, hi + 1))
-        new_words = []
-        for w in words:
-            base = ColouredPermutation((s, 0) for s in w)
-            for sh in shuffles(base, block):
-                new_words.append(tuple(e.symbol for e in sh.entries))
-        words = new_words
-    numerator = _coloured_sum_numerator(words, lambda s: -1, 0)
-    denominator = [(Fraction(1), 0)] * (total + 1)
+        words = [sh for w in words for sh in shuffles(w, block)]
+    rgf = _colouring_sum(words, [-1] * total, 0)
     m = max(d_list, default=0)
     conditions = (f"gcd(q, {max(m - 1, 0)}!) = 1",)
-    return UdFormula(RationalGF(numerator, denominator),
-                     SignedMonomial.x_power(-len(d_list)), len(words),
+    return UdFormula(rgf, SignedMonomial.x_power(-len(d_list)), len(words),
                      conditions)
 
 

@@ -12,8 +12,7 @@ from fractions import Fraction
 from colshuffle import (ColouredConfiguration, Label, LabelledConfiguration,
                         LaurentPoly, RationalGF, SignedMonomial, build_entry,
                         check_shuffle_compatibility, equal, expand,
-                        hadamard_entries, hadamard_mde, hadamard_series,
-                        hadamard_ud, hadamard_via_theorem, parse_permutation,
+                        hadamard_entries, hadamard_mde, hadamard_ud, hadamard_via_theorem, parse_permutation,
                         scale_y, stat_triple)
 from colshuffle.shuffle_algebra import STATISTICS
 from colshuffle.verify import (catalog_suite, psi_suite, qsym_suite,
@@ -152,7 +151,7 @@ def test_criterion_7_matrix_triple_product():
     combined = hadamard_entries(entries)
     assert equal(direct, combined.rgf)
     series = [expand(entry.closed_form, 10) for entry in entries]
-    oracle = hadamard_series(hadamard_series(series[0], series[1]), series[2])
+    oracle = series[0].hadamard(series[1]).hadamard(series[2])
     assert expand(direct, 10) == oracle
     report(7, "three-block matrix product: direct formula == shuffle "
               "route == series oracle at order 10 (48 terms)")
@@ -165,7 +164,7 @@ def test_criterion_8_unitriangular_product():
     assert result.t_size == 10 == math.comb(5, 2) * math.comb(2, 2)
     lhs = RationalGF.from_factors([(one, -1)] * 2, [(one, 0)] * 3)
     rhs = RationalGF.from_factors([(one, -1)] * 3, [(one, 0)] * 4)
-    oracle = hadamard_series(expand(lhs, 10), expand(rhs, 10))
+    oracle = expand(lhs, 10).hadamard(expand(rhs, 10))
     assert expand(result.rgf, 10) == oracle
     # single blocks collapse to the binomial closed form
     for d in range(1, 6):
@@ -193,10 +192,10 @@ def test_criterion_9_rescaled_hadamard():
         A, B = random_rgf(), random_rgf()
         u = SignedMonomial(rng.choice((1, -1)), rng.randint(-2, 2))
         v = SignedMonomial(rng.choice((1, -1)), rng.randint(-2, 2))
-        lhs = hadamard_series(expand(scale_y(A, u), order),
-                              expand(scale_y(B, v), order))
+        lhs = expand(scale_y(A, u), order).hadamard(
+            expand(scale_y(B, v), order))
         uv = u * v
-        rhs = hadamard_series(expand(A, order), expand(B, order)) \
+        rhs = expand(A, order).hadamard(expand(B, order)) \
             .scale_y_monomial(Fraction(uv.sign), uv.exponent)
         assert lhs == rhs, case
     report(9, "argument rescaling commutes with Hadamard products on 50 "

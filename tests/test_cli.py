@@ -182,3 +182,22 @@ def test_w_command(config_files, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "(1 - Y) / ((1 - Y)(1 - X*Y))"
     assert json.loads(lines[1]) == ["1", "X", "X^2", "X^3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "qsym", "--cutoff", "0"],
+    ["verify", "psi", "--t-order", "-1"],
+    ["verify", "theorem", "--order", "-1"],
+    ["verify", "theorem", "--trials", "-1"],
+    ["verify", "compat", "--colours", "0"],
+    ["w", "LEFT", "--order", "-1"],
+    ["hadamard", "LEFT", "RIGHT", "--verify", "-1"],
+])
+def test_out_of_range_bounds_are_usage_errors(argv, config_files, capsys):
+    left, right = config_files
+    argv = [{"LEFT": left, "RIGHT": right}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

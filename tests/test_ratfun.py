@@ -2,15 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colshuffle import (ColouredConfiguration, Label, LabelledConfiguration,
                         LaurentPoly, OrderMismatch, RationalGF, SeriesY,
                         SignedMonomial, ZeroSubstitution, canonicalize, equal,
-                        expand, hadamard_series, parse_permutation, scale_y,
+                        evaluate_label, expand, parse_permutation, scale_y,
                         substitute, w_of)
-from colshuffle.ratfun import _ypoly_from_factors, _ypoly_mul
-from conftest import laurent_polys
+from colshuffle.ratfun import _ypoly_add, _ypoly_from_factors, _ypoly_mul
+from conftest import coloured_permutations, laurent_polys
 
 P = parse_permutation
 one = Fraction(1)
@@ -101,19 +101,19 @@ def test_expand_remultiply_round_trip(order, data):
 
 def test_hadamard_identity_series():
     ones = expand(RationalGF.geometric(), 2)
-    assert hadamard_series(ones, ones) == ones
+    assert ones.hadamard(ones) == ones
 
 
 def test_hadamard_componentwise():
     a = SeriesY([lp(e0=1), lp(e1=1), lp(e2=1)])
     b = SeriesY([lp(e0=1), lp(e0=2), lp(e0=3)])
-    result = hadamard_series(a, b)
+    result = a.hadamard(b)
     assert list(result.coefficients) == [lp(e0=1), lp(e1=2), lp(e2=3)]
 
 
 def test_hadamard_order_mismatch():
     with pytest.raises(OrderMismatch):
-        hadamard_series(SeriesY([lp(e0=1)]), SeriesY([lp(e0=1), lp(e0=1)]))
+        SeriesY([lp(e0=1)]).hadamard(SeriesY([lp(e0=1), lp(e0=1)]))
 
 
 # -- the generating function ------------------------------------------------------
@@ -141,6 +141,60 @@ def test_w_of_degenerate_cases():
     empty_perm = LabelledConfiguration(
         ColouredConfiguration([(P(""), 1)]), Label())
     assert w_of(empty_perm, 5) == RationalGF.geometric()
+
+
+def w_of_per_term(lc, eps):
+    """Reference: one monomial per support term, each brought over the
+    common denominator by its own cofactor and added in."""
+    config, label = lc.config, lc.label
+    if config.is_zero():
+        return RationalGF.zero()
+    max_len = config.max_length()
+    denominator = [(Fraction(1), eps * i) for i in range(max_len + 1)]
+    numerator = {}
+    for perm, mult in config.terms:
+        st_ = perm.stat_triple()
+        value = evaluate_label(label, perm)
+        base = LaurentPoly.monomial(mult * value.sign,
+                                    value.exponent + eps * st_.comaj)
+        term = {st_.des: base}
+        cofactor = [(Fraction(1), eps * i)
+                    for i in range(len(perm) + 1, max_len + 1)]
+        if cofactor:
+            term = _ypoly_mul(term, _ypoly_from_factors(cofactor))
+        numerator = _ypoly_add(numerator, term)
+    return RationalGF(numerator, denominator)
+
+
+@st.composite
+def labelled_configurations(draw):
+    """Mixed lengths including the empty permutation; small label exponents
+    and colours, so that terms often cancel; may be the zero configuration."""
+    config = ColouredConfiguration(draw(st.lists(
+        st.tuples(coloured_permutations(max_len=4, max_colour=3),
+                  st.integers(1, 3)), max_size=6)))
+    label = Label({c: SignedMonomial(draw(st.sampled_from((1, -1))),
+                                     draw(st.integers(-1, 1)))
+                   for c in sorted(config.palette_star())})
+    return LabelledConfiguration(config, label)
+
+
+# 1^1 and 1^2 share (des, comaj) = (1, 1) and carry labels -1 and +1
+_CANCELLING = LabelledConfiguration(
+    ColouredConfiguration([(P("1^1"), 1), (P("1^2"), 1)]),
+    Label({1: SignedMonomial(-1, 0)}))
+
+
+@example(_CANCELLING, 1)
+@example(LabelledConfiguration(ColouredConfiguration(), Label()), 0)
+@example(LabelledConfiguration(ColouredConfiguration([(P(""), 2)])), -2)
+@given(labelled_configurations(), st.integers(-2, 2))
+def test_w_of_structurally_equals_per_term_reference(lc, eps):
+    assert w_of(lc, eps) == w_of_per_term(lc, eps)
+
+
+def test_w_of_cancelling_terms_keep_the_denominator():
+    assert w_of(_CANCELLING, 1) == RationalGF({}, [(one, 0), (one, 1)])
 
 
 # the eight shuffles and their (des, comaj), frozen from the worked example
@@ -221,9 +275,8 @@ def test_hadamard_commutative_associative(seed):
                         for _ in range(5)])
 
     a, b, c = random_series(), random_series(), random_series()
-    assert hadamard_series(a, b) == hadamard_series(b, a)
-    assert hadamard_series(hadamard_series(a, b), c) == \
-        hadamard_series(a, hadamard_series(b, c))
+    assert a.hadamard(b) == b.hadamard(a)
+    assert a.hadamard(b).hadamard(c) == a.hadamard(b.hadamard(c))
 
 
 @given(st.integers(0, 10**6))
@@ -271,10 +324,9 @@ def test_rescaled_hadamard_of_series(seed):
     u = SignedMonomial(rng.choice((1, -1)), rng.randint(-2, 2))
     v = SignedMonomial(rng.choice((1, -1)), rng.randint(-2, 2))
     order = 8
-    lhs = hadamard_series(expand(scale_y(A, u), order),
-                          expand(scale_y(B, v), order))
+    lhs = expand(scale_y(A, u), order).hadamard(expand(scale_y(B, v), order))
     uv = u * v
-    rhs = hadamard_series(expand(A, order), expand(B, order)) \
+    rhs = expand(A, order).hadamard(expand(B, order)) \
         .scale_y_monomial(Fraction(uv.sign), uv.exponent)
     assert lhs == rhs
 

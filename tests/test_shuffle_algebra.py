@@ -10,7 +10,7 @@ from colshuffle import (ColouredConfiguration, Label, LabelledConfiguration,
                         canonical_statistics_class, check_shuffle_compatibility,
                         equal, expand, h_map, h_of, h_tilde_map,
                         hadamard_general, hadamard_identity,
-                        hadamard_iterated, hadamard_series,
+                        hadamard_iterated,
                         hadamard_via_theorem, make_strongly_disjoint,
                         parse_permutation, shuffles, w_of)
 from colshuffle.mpoly import monomial
@@ -75,8 +75,8 @@ def test_theorem_against_series_oracle(seed):
     lhs, rhs = random_coherent_pair(rng)
     for eps in (-2, -1, 0, 1, 2):
         _, closed = hadamard_via_theorem(lhs, rhs, eps)
-        oracle = hadamard_series(expand(w_of(lhs, eps), 10),
-                                 expand(w_of(rhs, eps), 10))
+        oracle = expand(w_of(lhs, eps), 10).hadamard(
+            expand(w_of(rhs, eps), 10))
         assert expand(closed, 10) == oracle
 
 
@@ -84,8 +84,7 @@ def test_hadamard_general_same_symbols(two_letter_pair):
     lhs, _ = two_letter_pair
     # squaring an operand that shares its own symbols and colours
     result = hadamard_general(lhs, lhs, 1)
-    oracle = hadamard_series(expand(w_of(lhs, 1), 10),
-                             expand(w_of(lhs, 1), 10))
+    oracle = expand(w_of(lhs, 1), 10).hadamard(expand(w_of(lhs, 1), 10))
     assert expand(result, 10) == oracle
 
 
@@ -116,8 +115,8 @@ def test_hadamard_iterated_is_w_of_its_configuration():
                lc_of({1: SignedMonomial(-1, -3)}, "1^0", "1^1")]
     lc, rgf = hadamard_iterated(entries, 1)
     assert rgf == w_of(lc, 1)
-    oracle = hadamard_series(expand(w_of(entries[0], 1), 8),
-                             expand(w_of(entries[1], 1), 8))
+    oracle = expand(w_of(entries[0], 1), 8).hadamard(
+        expand(w_of(entries[1], 1), 8))
     assert expand(rgf, 8) == oracle
 
 

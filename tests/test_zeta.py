@@ -6,7 +6,7 @@ import pytest
 from colshuffle import (BadParameters, DeltaMismatch, LaurentPoly, RationalGF,
                         SignedMonomial, UnknownFamily, build_entry, equal,
                         expand, hadamard_entries, hadamard_f2d, hadamard_mde,
-                        hadamard_series, hadamard_ud,
+                        hadamard_ud,
                         parse_permutation, pi_of, scale_y, underline,
                         underline_block)
 from colshuffle.zeta import FAMILY_PARAMS
@@ -146,8 +146,8 @@ def test_mde_two_blocks_against_shuffle_route():
     direct = hadamard_mde([(2, 1), (3, 2)])
     assert equal(direct, combined.rgf)
     # and against the series oracle
-    oracle = hadamard_series(expand(entries[0].closed_form, 10),
-                             expand(entries[1].closed_form, 10))
+    oracle = expand(entries[0].closed_form, 10).hadamard(
+        expand(entries[1].closed_form, 10))
     assert expand(direct, 10) == oracle
     # and against the two-block closed pattern with A = -X^-2, B = -X^-3
     A = LaurentPoly.monomial(-1, -2)
@@ -176,8 +176,19 @@ def test_mde_delta_zero_against_series_oracle():
     direct = hadamard_mde([(1, 1)] * 3)
     factor = build_entry("mat", d=1, e=1).closed_form
     series = expand(factor, 10)
-    oracle = hadamard_series(hadamard_series(series, series), series)
+    oracle = series.hadamard(series).hadamard(series)
     assert expand(direct, 10) == oracle
+
+
+def test_mde_six_blocks_against_series_oracle():
+    dims = [(d + 1, d) for d in range(1, 7)]
+    direct = hadamard_mde(dims)
+    series = [expand(build_entry("mat", d=d, e=e).closed_form, 12)
+              for d, e in dims]
+    oracle = series[0]
+    for s in series[1:]:
+        oracle = oracle.hadamard(s)
+    assert expand(direct, 12) == oracle
 
 
 def test_mde_errors():
@@ -218,7 +229,7 @@ def test_f2d_two_blocks_against_oracles():
     result = hadamard_f2d([2, 3])
     lhs = build_entry("so", d=2).closed_form
     rhs = build_entry("so", d=3).closed_form
-    oracle = hadamard_series(expand(lhs, 10), expand(rhs, 10))
+    oracle = expand(lhs, 10).hadamard(expand(rhs, 10))
     assert expand(result.rgf, 10) == oracle
     combined = hadamard_entries([build_entry("so", d=2), build_entry("so", d=3)])
     assert equal(result.rgf, combined.rgf)
@@ -238,7 +249,7 @@ def test_ud_two_blocks():
     assert result.t_size == math.comb(5, 2)
     lhs = closed([-1] * 2, [0] * 3)
     rhs = closed([-1] * 3, [0] * 4)
-    oracle = hadamard_series(expand(lhs, 10), expand(rhs, 10))
+    oracle = expand(lhs, 10).hadamard(expand(rhs, 10))
     assert expand(result.rgf, 10) == oracle
     assert result.arg_shift == SignedMonomial(1, -2)
 
@@ -252,7 +263,7 @@ def test_ud_with_empty_block():
 def test_ud_ones_against_oracle():
     result = hadamard_ud([1, 1])
     factor = closed([-1], [0, 0])
-    oracle = hadamard_series(expand(factor, 8), expand(factor, 8))
+    oracle = expand(factor, 8).hadamard(expand(factor, 8))
     assert expand(result.rgf, 8) == oracle
 
 
@@ -262,8 +273,8 @@ def test_hadamard_entries_mixed_families():
     # antisymmetric and matrix entries share eps = 1 when d - e = 1
     entries = [build_entry("so", d=3), build_entry("mat", d=4, e=3)]
     combined = hadamard_entries(entries)
-    oracle = hadamard_series(expand(entries[0].closed_form, 8),
-                             expand(entries[1].closed_form, 8))
+    oracle = expand(entries[0].closed_form, 8).hadamard(
+        expand(entries[1].closed_form, 8))
     assert expand(combined.rgf, 8) == oracle
     assert combined.conditions == ("residue characteristic != 2",)
 
@@ -277,7 +288,7 @@ def test_hadamard_entries_rejects_mixed_eps():
 def test_hadamard_entries_applies_shifts():
     entries = [build_entry("f2d_cc", d=2), build_entry("so", d=3)]
     combined = hadamard_entries(entries)
-    oracle = hadamard_series(expand(entries[0].closed_form, 8),
-                             expand(entries[1].closed_form, 8))
+    oracle = expand(entries[0].closed_form, 8).hadamard(
+        expand(entries[1].closed_form, 8))
     assert expand(combined.rgf, 8) == oracle
     assert combined.shift == SignedMonomial(1, 1)  # binom(2,2)... X^1 from f2d
