@@ -15,14 +15,18 @@ arbitrary coloured permutation statistics.
 
 from __future__ import annotations
 
-import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import (chain, combinations, islice, permutations, product,
+                       repeat)
+from operator import add, itemgetter, mul
 from typing import Callable, Hashable
 
 from .configurations import (ColouredConfiguration, Label,
                              LabelledConfiguration, config_shuffle,
                              make_strongly_disjoint, merge_labels)
+from .errors import BadParameters
 from .mpoly import MPoly, ONE_MONOMIAL, monomial
 from .permutations import (ColouredInteger, ColouredPermutation, EMPTY,
                            StatTriple, all_coloured_permutations, s_des,
@@ -41,6 +45,7 @@ __all__ = [
     "check_shuffle_compatibility",
     "CompatReport",
     "STATISTICS",
+    "MAX_COMPAT_WORDS",
 ]
 
 X_VAR = ("x",)
@@ -190,6 +195,11 @@ def h_of(a: ColouredPermutation) -> HImage:
 
 Statistic = Callable[[ColouredPermutation], Hashable]
 
+# The exhaustive sweep keeps one score per coloured permutation of the
+# largest total length, max_len! * colours**max_len of them; the acceptance
+# bound (length 6, 3 colours) needs 524,880.
+MAX_COMPAT_WORDS = 1_000_000
+
 
 def _with_raw(func: Statistic, raw) -> Statistic:
     """Attach an entries-sequence fast path used by the exhaustive sweep."""
@@ -249,16 +259,180 @@ def _random_relabelling_case(rng: random.Random, max_len: int, colours: int):
     return ColouredPermutation(entries), mapping
 
 
-def _side_variants(symbols: tuple[int, ...], colours: int, raw_stat):
-    """All orderings and colourings of a symbol set, with their statistic."""
-    out = []
-    colour_words = list(itertools.product(range(colours), repeat=len(symbols)))
-    for order in itertools.permutations(symbols):
-        for cols in colour_words:
-            entries = tuple(ColouredInteger(s, c)
-                            for s, c in zip(order, cols))
-            out.append((entries, raw_stat(entries)))
-    return out
+def _check_compat_bounds(trials: int, max_len: int, colours: int) -> None:
+    for name, value, minimum in (("trials", trials, 0), ("max_len", max_len, 0),
+                                 ("colours", colours, 1)):
+        if value < minimum:
+            raise BadParameters(f"{name} must be >= {minimum}, got {value}")
+    words = 1
+    for length in range(1, max_len + 1):
+        words *= length * colours
+        if words > MAX_COMPAT_WORDS:
+            raise BadParameters(
+                f"max_len {max_len} with {colours} colours exceeds the "
+                f"{MAX_COMPAT_WORDS} words the sweep may score "
+                f"(max_len! * colours**max_len)")
+
+
+def _parts(digit_words, position_sets: list[tuple[int, ...]],
+           weights: list[int]) -> list[list[int]]:
+    """For each digit word, its weighted sum placed at each position set:
+    digit i at position p contributes digit * weights[p].  The sum for an
+    interleaved word is the sum of the parts of its two sides."""
+    placed = [[weights[p] for p in positions] for positions in position_sets]
+    return [[sum(map(mul, digits, w)) for w in placed] for digits in digit_words]
+
+
+def _gather(indices: list[int]):
+    """``seq -> tuple(seq[i] for i in indices)``, in one C call."""
+    if len(indices) == 1:
+        return lambda seq: (seq[indices[0]],)
+    return itemgetter(*indices)
+
+
+class _Scorer:
+    """Evaluates a statistic once per word and interns its values to small
+    ids, so that multisets of values are sorted lists of ints."""
+
+    def __init__(self, raw_stat, colours: int):
+        self.raw_stat = raw_stat
+        self.colours = colours
+        self.values: list = []  # id -> statistic value
+        self._ids: dict = {}    # statistic value -> id
+        self._letters: dict = {}  # symbol -> its ColouredInteger per colour
+        self._sides: dict = {}  # symbol set -> (words, ids) of its variants
+
+    def score(self, words) -> list[int]:
+        """The value id of each word, evaluating the statistic once per
+        word; new values get the next ids in order of first occurrence."""
+        ids: list[int] = []
+        values = map(self.raw_stat, words)
+        while chunk := list(islice(values, 4096)):
+            for value in dict.fromkeys(chunk):
+                if value not in self._ids:
+                    self._ids[value] = len(self.values)
+                    self.values.append(value)
+            ids += map(self._ids.__getitem__, chunk)
+        return ids
+
+    def words(self, symbols: tuple[int, ...]):
+        """Every order and colouring of ``symbols``: orders in
+        ``permutations`` order, each with its colourings in ``product``
+        order."""
+        for s in symbols:
+            if s not in self._letters:
+                self._letters[s] = [ColouredInteger(s, c)
+                                    for c in range(self.colours)]
+        return chain.from_iterable(
+            product(*map(self._letters.__getitem__, order))
+            for order in permutations(symbols))
+
+    def side(self, symbols: tuple[int, ...]) -> tuple[list, list[int]]:
+        """The variants of one operand's symbol set and their value ids."""
+        cached = self._sides.get(symbols)
+        if cached is None:
+            words = list(self.words(symbols))
+            cached = self._sides[symbols] = (words, self.score(words))
+        return cached
+
+    def counts(self, multiset: list[int]) -> list[tuple[str, int]]:
+        """A multiset of ids as reports print it: (repr of value, count)
+        pairs, sorted."""
+        return sorted((repr(self.values[i]), k)
+                      for i, k in Counter(multiset).items())
+
+
+def _sweep(scorer: _Scorer, max_len: int, colours: int):
+    """Yield ``(n, sa, m, lhs, sbs, rhs_words, multisets)`` for each left
+    operand variant, in the order of the exhaustive pair enumeration: its
+    value id, and for every right variant in order its value id, its word
+    and the sorted value ids of the pair's shuffles.
+
+    Each total length scores the words over 1..total once, in ``words``
+    order: the word with the r-th symbol order and colour digits
+    c_0..c_{total-1} sits at r * colours**total + sum(c_p * colours**(total
+    - 1 - p)).  Both terms are sums over the two sides of a pair, so one
+    pair of symbol orders and one placement of the left operand select one
+    block of the table, and the colourings of the two sides pick from that
+    block in the same way for every pair of orders.
+    """
+    for total in range(2, max_len + 1):
+        symbols = tuple(range(1, total + 1))
+        # a shorter total's words recur as the variants of the side 1..total
+        table = (scorer.side(symbols)[1] if total < max_len
+                 else scorer.score(scorer.words(symbols)))
+        block = colours ** total
+        symbol_weights = [total ** p for p in range(total)]
+        colour_weights = [colours ** (total - 1 - p) for p in range(total)]
+        offset_by_order = {
+            sum(map(mul, order, symbol_weights)): rank * block
+            for rank, order in enumerate(permutations(range(total)))}
+        order_offset = offset_by_order.__getitem__
+        for n in range(1, total // 2 + 1):
+            m = total - n
+            masks = list(combinations(range(total), n))
+            comps = [tuple(p for p in range(total) if p not in mask)
+                     for mask in masks]
+            b_colourings = colours ** m
+            # per placement: the colour digits of each (left colouring,
+            # right colouring), left colourings outermost
+            gathers = [_gather([x + y for x in xs for y in ys])
+                       for xs, ys in zip(
+                           zip(*_parts(product(range(colours), repeat=n),
+                                       masks, colour_weights)),
+                           zip(*_parts(product(range(colours), repeat=m),
+                                       comps, colour_weights)))]
+            for a_symbols in combinations(symbols, n):
+                b_symbols = tuple(s for s in symbols if s not in a_symbols)
+                a_words, a_ids = scorer.side(a_symbols)
+                b_words, b_ids = scorer.side(b_symbols)
+                b_orders = _parts(permutations([s - 1 for s in b_symbols]),
+                                  comps, symbol_weights)
+                lhs = zip(a_ids, a_words)
+                for a_order in _parts(permutations([s - 1 for s in a_symbols]),
+                                      masks, symbol_weights):
+                    # per right order, the multisets of all colouring pairs
+                    by_order = []
+                    for b_order in b_orders:
+                        offsets = map(order_offset, map(add, a_order, b_order))
+                        columns = [gather(table[o:o + block])
+                                   for gather, o in zip(gathers, offsets)]
+                        by_order.append(list(map(sorted, zip(*columns))))
+                    for lo in range(0, block, b_colourings):
+                        sa, a_word = next(lhs)
+                        yield n, sa, m, a_word, b_ids, b_words, list(
+                            chain.from_iterable(ms[lo:lo + b_colourings]
+                                                for ms in by_order))
+
+
+class _Groups:
+    """Pairs grouped by their key (n, sa, m, sb), each group keeping the
+    multiset and operands of its first pair."""
+
+    def __init__(self):
+        self._rows: dict = {}  # (n, sa, m) -> {sb: (multiset, lhs, rhs)}
+        self.classes = 0
+
+    def add(self, row: tuple, sbs: list[int], multisets: list, lhs,
+            rhs_words: list):
+        """Add the pairs of one left variant with every right variant, in
+        order.  Returns None, or ``(j, (multiset, lhs, rhs))``: the index of
+        the first pair whose multiset differs from that of its group's first
+        pair, and that first pair.  ``classes`` then counts the groups opened
+        before pair j."""
+        firsts_by_sb = self._rows.setdefault(row, {})
+        known = len(firsts_by_sb)
+        firsts = list(map(firsts_by_sb.setdefault, sbs,
+                          zip(multisets, repeat(lhs), rhs_words)))
+        if list(map(itemgetter(0), firsts)) == multisets:
+            self.classes += len(firsts_by_sb) - known
+            return None
+        j = next(j for j, (first, multiset) in enumerate(zip(firsts, multisets))
+                 if first[0] != multiset)
+        # a pair that opened its group stored its own multiset
+        self.classes += sum(first[0] is multiset
+                            for first, multiset in zip(firsts[:j], multisets))
+        return j, firsts[j]
 
 
 def check_shuffle_compatibility(stat: Statistic, trials: int = 200,
@@ -280,9 +454,20 @@ def check_shuffle_compatibility(stat: Statistic, trials: int = 200,
     operands agree in length and statistic value; a mismatch is a
     counterexample to shuffle compatibility.
 
+    Phase 2 evaluates ``stat`` once on each word it needs: for each total
+    length, every coloured permutation of 1..total, kept in a table indexed
+    by the rank of its symbol order and its colouring; and every order and
+    colouring of each operand's symbol set.  Values are interned to small
+    ints, and a pair's multiset is the sorted list of the table entries of
+    its shuffles.  The table holds max_len! * colours**max_len entries;
+    bounds beyond ``MAX_COMPAT_WORDS`` of them, negative ``trials`` or
+    ``max_len``, and ``colours`` < 1 raise ``BadParameters`` before any
+    work.
+
     Returns a report whose ``counterexample`` is None when nothing was
     found.
     """
+    _check_compat_bounds(trials, max_len, colours)
     name = statistic_name or getattr(stat, "__name__", "statistic")
     performed = 0
 
@@ -307,46 +492,20 @@ def check_shuffle_compatibility(stat: Statistic, trials: int = 200,
             })
 
     # phase 2: shuffle multisets across statistic classes
-    raw_stat = _raw_statistic(stat)
+    scorer = _Scorer(_raw_statistic(stat), colours)
     make = ColouredPermutation._raw
-    groups: dict = {}
-    for total in range(2, max_len + 1):
-        all_symbols = range(1, total + 1)
-        word: list = [None] * total  # reused interleaving buffer
-        for n in range(1, total // 2 + 1):
-            m = total - n
-            placements = [(mask, tuple(p for p in range(total) if p not in mask))
-                          for mask in itertools.combinations(range(total), n)]
-            for a_symbols in itertools.combinations(all_symbols, n):
-                b_symbols = tuple(s for s in all_symbols if s not in a_symbols)
-                lhs = _side_variants(a_symbols, colours, raw_stat)
-                rhs = _side_variants(b_symbols, colours, raw_stat)
-                for a_entries, sa in lhs:
-                    for b_entries, sb in rhs:
-                        multiset: dict = {}
-                        for mask, comp in placements:
-                            for e, p in zip(a_entries, mask):
-                                word[p] = e
-                            for e, p in zip(b_entries, comp):
-                                word[p] = e
-                            v = raw_stat(word)
-                            multiset[v] = multiset.get(v, 0) + 1
-                        performed += 1
-                        key = (n, sa, m, sb)
-                        prev = groups.get(key)
-                        if prev is None:
-                            groups[key] = (multiset,
-                                           (str(make(a_entries)),
-                                            str(make(b_entries))))
-                        elif prev[0] != multiset:
-                            pair = [str(make(a_entries)), str(make(b_entries))]
-                            return CompatReport(name, performed, len(groups), {
-                                "kind": "shuffle",
-                                "first_pair": list(prev[1]),
-                                "second_pair": pair,
-                                "first_multiset": sorted(
-                                    (repr(k), v) for k, v in prev[0].items()),
-                                "second_multiset": sorted(
-                                    (repr(k), v) for k, v in multiset.items()),
-                            })
-    return CompatReport(name, performed, len(groups), None)
+    groups = _Groups()
+    for n, sa, m, lhs, sbs, rhs_words, multisets in _sweep(scorer, max_len,
+                                                           colours):
+        mismatch = groups.add((n, sa, m), sbs, multisets, lhs, rhs_words)
+        if mismatch is not None:
+            j, (first_multiset, first_lhs, first_rhs) = mismatch
+            return CompatReport(name, performed + j + 1, groups.classes, {
+                "kind": "shuffle",
+                "first_pair": [str(make(first_lhs)), str(make(first_rhs))],
+                "second_pair": [str(make(lhs)), str(make(rhs_words[j]))],
+                "first_multiset": scorer.counts(first_multiset),
+                "second_multiset": scorer.counts(multisets[j]),
+            })
+        performed += len(multisets)
+    return CompatReport(name, performed, groups.classes, None)

@@ -192,6 +192,7 @@ def test_w_command(config_files, capsys):
     ["verify", "compat", "--colours", "0"],
     ["w", "LEFT", "--order", "-1"],
     ["hadamard", "LEFT", "RIGHT", "--verify", "-1"],
+    ["verify", "compat", "--max-total-len", "9", "--colours", "5"],
 ])
 def test_out_of_range_bounds_are_usage_errors(argv, config_files, capsys):
     left, right = config_files

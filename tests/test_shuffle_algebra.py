@@ -1,20 +1,25 @@
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colshuffle import (ColouredConfiguration, Label, LabelledConfiguration,
-                        MPoly, NotCoherent, RationalGF, SignedMonomial,
-                        StatTriple, all_coloured_permutations,
+from colshuffle import (BadParameters, ColouredConfiguration,
+                        ColouredInteger, ColouredPermutation, Label,
+                        LabelledConfiguration, MPoly, NotCoherent, RationalGF,
+                        SignedMonomial, StatTriple, all_coloured_permutations,
                         canonical_statistics_class, check_shuffle_compatibility,
                         equal, expand, h_map, h_of, h_tilde_map,
                         hadamard_general, hadamard_identity,
                         hadamard_iterated,
                         hadamard_via_theorem, make_strongly_disjoint,
-                        parse_permutation, shuffles, w_of)
+                        parse_permutation, shuffles, stat_triple, w_of)
 from colshuffle.mpoly import monomial
-from colshuffle.shuffle_algebra import STATISTICS, X_VAR, Z_VAR, p_var
+from colshuffle.shuffle_algebra import (STATISTICS, X_VAR, Z_VAR, CompatReport,
+                                       p_var)
 from colshuffle.verify import random_coherent_pair
 
 P = parse_permutation
@@ -222,17 +227,234 @@ def test_planted_control_is_caught():
     assert "counterexample" in obj
 
 
+def inversions(a):
+    ents = a.entries
+    return sum(1 for i in range(len(ents)) for j in range(i + 1, len(ents))
+               if (-ents[i].colour, ents[i].symbol)
+               > (-ents[j].colour, ents[j].symbol))
+
+
 def test_incompatible_statistic_found_by_multiset_search():
     """Inversion count: a relabelling-invariant statistic that is not
     shuffle compatible; the pair search must expose it."""
-
-    def inversions(a):
-        ents = a.entries
-        return sum(1 for i in range(len(ents)) for j in range(i + 1, len(ents))
-                   if (-ents[i].colour, ents[i].symbol)
-                   > (-ents[j].colour, ents[j].symbol))
-
     report = check_shuffle_compatibility(inversions, trials=50, max_len=4,
                                          colours=1, statistic_name="inv")
     assert not report.ok
     assert report.counterexample["kind"] == "shuffle"
+
+
+# -- the harness against the per-pair reference sweep ------------------------------
+
+def _reference_relabelling_case(rng, max_len, colours):
+    n = rng.randint(0, max_len)
+    symbols = rng.sample(range(1, 4 * max_len + 2), n)
+    entries = [(s, rng.randrange(colours)) for s in symbols]
+    targets = sorted(rng.sample(range(1, 8 * max_len + 4), n))
+    mapping = dict(zip(sorted(symbols), targets))
+    return ColouredPermutation(entries), mapping
+
+
+def _reference_side_variants(symbols, colours, raw_stat):
+    out = []
+    colour_words = list(itertools.product(range(colours), repeat=len(symbols)))
+    for order in itertools.permutations(symbols):
+        for cols in colour_words:
+            entries = tuple(ColouredInteger(s, c)
+                            for s, c in zip(order, cols))
+            out.append((entries, raw_stat(entries)))
+    return out
+
+
+def reference_check_shuffle_compatibility(stat, trials=200, max_len=5, *,
+                                          colours=3, seed=0,
+                                          statistic_name=None):
+    """The harness as it was before words were scored once: every shuffle
+    of every pair is evaluated and counted into a dict."""
+    name = statistic_name or getattr(stat, "__name__", "statistic")
+    performed = 0
+
+    rng = random.Random(seed)
+    cases = []
+    for n in range(0, min(max_len, 3) + 1):
+        for perm in all_coloured_permutations(n, colours):
+            cases.append((perm, {s: s + 1 for s in perm.symbols()}))
+            cases.append((perm, {s: 2 * s for s in perm.symbols()}))
+    for _ in range(trials):
+        cases.append(_reference_relabelling_case(rng, max_len, colours))
+    for perm, mapping in cases:
+        performed += 1
+        relabelled = perm.relabel(mapping)
+        if stat(perm) != stat(relabelled):
+            return CompatReport(name, performed, 0, {
+                "kind": "relabelling",
+                "permutation": str(perm),
+                "relabelled": str(relabelled),
+                "values": [repr(stat(perm)), repr(stat(relabelled))],
+            })
+
+    raw_stat = getattr(stat, "raw", None)
+    make = ColouredPermutation._raw
+    if raw_stat is None:
+        def raw_stat(entries):
+            return stat(make(tuple(entries)))
+    groups: dict = {}
+    for total in range(2, max_len + 1):
+        all_symbols = range(1, total + 1)
+        word: list = [None] * total
+        for n in range(1, total // 2 + 1):
+            m = total - n
+            placements = [(mask, tuple(p for p in range(total) if p not in mask))
+                          for mask in itertools.combinations(range(total), n)]
+            for a_symbols in itertools.combinations(all_symbols, n):
+                b_symbols = tuple(s for s in all_symbols if s not in a_symbols)
+                lhs = _reference_side_variants(a_symbols, colours, raw_stat)
+                rhs = _reference_side_variants(b_symbols, colours, raw_stat)
+                for a_entries, sa in lhs:
+                    for b_entries, sb in rhs:
+                        multiset: dict = {}
+                        for mask, comp in placements:
+                            for e, p in zip(a_entries, mask):
+                                word[p] = e
+                            for e, p in zip(b_entries, comp):
+                                word[p] = e
+                            v = raw_stat(word)
+                            multiset[v] = multiset.get(v, 0) + 1
+                        performed += 1
+                        key = (n, sa, m, sb)
+                        prev = groups.get(key)
+                        if prev is None:
+                            groups[key] = (multiset,
+                                           (str(make(a_entries)),
+                                            str(make(b_entries))))
+                        elif prev[0] != multiset:
+                            pair = [str(make(a_entries)), str(make(b_entries))]
+                            return CompatReport(name, performed, len(groups), {
+                                "kind": "shuffle",
+                                "first_pair": list(prev[1]),
+                                "second_pair": pair,
+                                "first_multiset": sorted(
+                                    (repr(k), v) for k, v in prev[0].items()),
+                                "second_multiset": sorted(
+                                    (repr(k), v) for k, v in multiset.items()),
+                            })
+    return CompatReport(name, performed, len(groups), None)
+
+
+def descent_triple_blackbox(a):
+    """stat_triple with no ``raw`` fast path."""
+    return stat_triple(a)
+
+
+def des_parity(a):
+    return stat_triple(a).des % 2
+
+
+def inversions_from_length_4(a):
+    """Compatible up to total length 3; falsified partway through total 4."""
+    return stat_triple(a) if len(a) < 4 else inversions(a)
+
+
+HARNESS_STATISTICS = {
+    "des_comaj_col": STATISTICS["des_comaj_col"],
+    "sdes": STATISTICS["sdes"],
+    "first_symbol": STATISTICS["first_symbol"],
+    "blackbox": descent_triple_blackbox,
+    "inversions": inversions,
+    "des_parity": des_parity,
+    "inversions_from_length_4": inversions_from_length_4,
+}
+HARNESS_BOUNDS = [(0, 1), (1, 3), (2, 2), (3, 1), (3, 3), (4, 2), (5, 1),
+                  (5, 3)]
+
+
+@pytest.mark.parametrize("max_len,colours", HARNESS_BOUNDS)
+@pytest.mark.parametrize("name", sorted(HARNESS_STATISTICS))
+def test_harness_matches_reference(name, max_len, colours):
+    stat = HARNESS_STATISTICS[name]
+    kwargs = dict(trials=20, max_len=max_len, colours=colours,
+                  seed=10 * max_len + colours, statistic_name=name)
+    got = check_shuffle_compatibility(stat, **kwargs).to_json_obj()
+    want = reference_check_shuffle_compatibility(stat, **kwargs).to_json_obj()
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_harness_stops_partway_through_a_total():
+    report = check_shuffle_compatibility(inversions_from_length_4, trials=20,
+                                         max_len=5, colours=2)
+    full_length_3 = check_shuffle_compatibility(
+        inversions_from_length_4, trials=20, max_len=3, colours=2)
+    assert full_length_3.ok
+    assert report.counterexample["kind"] == "shuffle"
+    assert full_length_3.trials < report.trials < exhaustive_checks(4, 2, 20)
+
+
+def exhaustive_checks(max_len, colours, trials):
+    """Phase-1 cases plus one check per pair: sum over totals T and left
+    lengths n <= T/2 of C(T, n) * n! c^n * (T - n)! c^(T - n)."""
+    def coloured(n):
+        return math.factorial(n) * colours ** n
+    relabellings = trials + sum(2 * coloured(n)
+                                for n in range(min(max_len, 3) + 1))
+    return relabellings + sum(
+        math.comb(total, n) * coloured(n) * coloured(total - n)
+        for total in range(2, max_len + 1) for n in range(1, total // 2 + 1))
+
+
+@pytest.mark.parametrize("max_len,colours", [
+    (0, 1), (1, 2), (2, 1), (2, 3), (3, 2), (4, 1), (4, 3), (5, 2), (6, 1)])
+def test_harness_performs_every_check(max_len, colours):
+    report = check_shuffle_compatibility(
+        STATISTICS["des_comaj_col"], trials=7, max_len=max_len,
+        colours=colours)
+    assert report.ok
+    assert report.trials == exhaustive_checks(max_len, colours, 7)
+
+
+def _never_called(a):
+    raise AssertionError("the statistic was evaluated")
+
+
+@pytest.mark.parametrize("trials,max_len,colours", [
+    (-5, 3, 2), (0, -1, 2), (0, 3, 0), (0, 9, 5), (0, 10, 1)])
+def test_harness_rejects_bounds_before_any_work(trials, max_len, colours):
+    with pytest.raises(BadParameters):
+        check_shuffle_compatibility(_never_called, trials=trials,
+                                    max_len=max_len, colours=colours)
+
+
+
+def test_harness_scores_each_word_once():
+    """Phase 2 evaluates the statistic once on each word it needs: every
+    coloured permutation of 1..total, and every variant of each operand's
+    symbol set."""
+    evaluated = []
+
+    def des_comaj_col(a):
+        return stat_triple(a)
+
+    def raw(entries):
+        evaluated.append(tuple(entries))
+        return stat_triple(ColouredPermutation._raw(tuple(entries)))
+
+    des_comaj_col.raw = raw
+    max_len, colours = 4, 2
+    report = check_shuffle_compatibility(des_comaj_col, trials=0,
+                                         max_len=max_len, colours=colours)
+    assert report.ok
+
+    def variants(symbols):
+        return {tuple(map(ColouredInteger, order, cols))
+                for order in itertools.permutations(symbols)
+                for cols in itertools.product(range(colours),
+                                              repeat=len(symbols))}
+
+    needed = set()
+    for total in range(2, max_len + 1):
+        needed |= variants(range(1, total + 1))
+        for n in range(1, total // 2 + 1):
+            for lhs in itertools.combinations(range(1, total + 1), n):
+                needed |= variants(lhs)
+                needed |= variants([s for s in range(1, total + 1)
+                                    if s not in lhs])
+    assert len(evaluated) == len(set(evaluated))
+    assert set(evaluated) == needed
