@@ -1,14 +1,26 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse polynomials with exact rational coefficients: the one coefficient
+core of the library.
 
-Variables are identified by hashable tuple keys, e.g. ``("x",)``, ``("p", 2)``
-or ``("x", 3, 1)``.  A monomial is a sorted tuple of (variable, exponent)
-pairs with positive exponents; the empty tuple is the constant monomial.
+An ``MPoly`` is a dict from key to nonzero coefficient, and its class
+attribute ``key_mul`` says how keys multiply.  Here a key is a monomial:
+variables are identified by hashable tuple keys, e.g. ``("x",)``,
+``("p", 2)`` or ``("x", 3, 1)``, and a monomial is a sorted tuple of
+(variable, exponent) pairs with positive exponents; the empty tuple is the
+constant monomial.  ``ratfun.LaurentPoly`` reuses the same arithmetic with
+integer exponents of X as keys.
+
+Coefficients are stored as they come: integral ones are plain ``int`` and a
+``Fraction`` appears only where arithmetic makes a non-integral rational.
+Since ``int`` and ``Fraction`` compare and hash alike, the representation
+never shows in equality, hashing or printing.  No float is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Hashable, Iterable, Mapping, Sequence, Union
+
+Coeff = Union[int, Fraction]
 
 Monomial = tuple[tuple[tuple, int], ...]
 
@@ -36,36 +48,36 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class MPoly:
-    """Immutable sparse polynomial: dict monomial -> nonzero Fraction."""
+    """Immutable sparse polynomial: dict key -> nonzero coefficient."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[Monomial, Fraction] | None = None):
-        cleaned = {}
-        for mono, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c:
-                cleaned[mono] = c
-        object.__setattr__(self, "coeffs", cleaned)
+    # the key of the constant term, and the product of two keys
+    ONE: Hashable = ONE_MONOMIAL
+    key_mul = staticmethod(monomial_mul)
+
+    def __init__(self, coeffs: Mapping[Hashable, Coeff] | None = None):
+        object.__setattr__(self, "coeffs",
+                           {k: c for k, c in (coeffs or {}).items() if c})
 
     def __setattr__(self, name, value):
-        raise AttributeError("MPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def zero(cls) -> "MPoly":
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> "MPoly":
-        return cls({ONE_MONOMIAL: Fraction(1)})
+    def one(cls):
+        return cls({cls.ONE: 1})
 
     @classmethod
-    def constant(cls, c) -> "MPoly":
-        return cls({ONE_MONOMIAL: Fraction(c)})
+    def constant(cls, c):
+        return cls({cls.ONE: c})
 
     @classmethod
-    def term(cls, mono: Monomial, c=1) -> "MPoly":
-        return cls({mono: Fraction(c)})
+    def term(cls, key, c=1):
+        return cls({key: c})
 
     @classmethod
     def variable(cls, var: tuple, exp: int = 1) -> "MPoly":
@@ -78,45 +90,39 @@ class MPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        return isinstance(other, MPoly) and self.coeffs == other.coeffs
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def __add__(self, other: "MPoly") -> "MPoly":
+    def __add__(self, other):
         out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            v = out.get(mono, 0) + c
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-        return MPoly(out)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return type(self)(out)
 
-    def __neg__(self) -> "MPoly":
-        return MPoly({m: -c for m, c in self.coeffs.items()})
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.coeffs.items()})
 
-    def __sub__(self, other: "MPoly") -> "MPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "MPoly") -> "MPoly":
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                mono = monomial_mul(m1, m2)
-                v = out.get(mono, 0) + c1 * c2
-                if v:
-                    out[mono] = v
-                else:
-                    out.pop(mono, None)
-        return MPoly(out)
+    def __mul__(self, other):
+        key_mul = self.key_mul
+        out: dict = {}
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
+                k = key_mul(k1, k2)
+                out[k] = out.get(k, 0) + c1 * c2
+        return type(self)(out)
 
-    def mul_monomial(self, mono: Monomial, c=1) -> "MPoly":
-        c = Fraction(c)
+    def mul_monomial(self, key, c=1):
+        """The product with the single term ``c`` times the monomial ``key``."""
         if not c:
-            return MPoly()
-        return MPoly({monomial_mul(m, mono): c * v
-                      for m, v in self.coeffs.items()})
+            return type(self)()
+        key_mul = self.key_mul
+        return type(self)({key_mul(k, key): v * c
+                           for k, v in self.coeffs.items()})
 
     def __repr__(self):
         if not self.coeffs:
@@ -136,3 +142,19 @@ class MPoly:
             return f"{c}*{vars_part}"
 
         return " + ".join(fmt(m, c) for m, c in sorted(self.coeffs.items()))
+
+
+def divide_by_factors(coeffs: Sequence[MPoly],
+                      factors: Iterable[tuple[Hashable, Coeff]]) -> list[MPoly]:
+    """Divide the truncated series coeffs[0] + coeffs[1]*t + ... by each
+    factor 1 - c*m*t, given as (key of m, c), through the same order.
+
+    Division by one factor is the recurrence b_k = a_k + c*m*b_{k-1}.
+    """
+    coeffs = list(coeffs)
+    for key, c in factors:
+        prev = coeffs[0]
+        for k in range(1, len(coeffs)):
+            prev = coeffs[k] + prev.mul_monomial(key, c)
+            coeffs[k] = prev
+    return coeffs

@@ -1,9 +1,13 @@
 """Exact rational generating functions in X and Y.
 
-The backbone types are Laurent polynomials in X over the rationals, rational
-functions whose denominators are kept factored as products of terms
-``1 - c*X^a*Y``, and truncated power series in Y with Laurent-polynomial
-coefficients.  Everything is exact; there is no floating point anywhere.
+The backbone types are Laurent polynomials in X over the rationals (the
+``mpoly`` coefficient core keyed by exponent), rational functions whose
+denominators are kept factored as products of terms ``1 - c*X^a*Y``, and
+truncated power series in Y with Laurent-polynomial coefficients.
+Everything is exact: integral coefficients are plain ints, a ``Fraction``
+appears only where a non-integral rational does, and no float is used.
+``Fraction`` is built only from input that comes from outside the program:
+JSON, and the X-values given to ``substitute`` and ``eval_at``.
 
 ``w_of`` attaches to a labelled coloured configuration and an integer
 exponent ``eps`` the rational series summing, over the support, the terms
@@ -19,11 +23,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .configurations import (Label, LabelledConfiguration, SignedMonomial,
                              evaluate_label)
 from .errors import BadParameters, OrderMismatch, ZeroSubstitution
+from .mpoly import Coeff, MPoly, divide_by_factors
 from .permutations import ColouredPermutation, stat_triple_raw
 
 __all__ = [
@@ -41,88 +47,29 @@ __all__ = [
 DEFAULT_ORDER = 12
 
 # A denominator factor (c, a) stands for 1 - c*X^a*Y.
-Factor = tuple[Fraction, int]
+Factor = tuple[Coeff, int]
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial in X: dict exponent -> nonzero Fraction."""
+class LaurentPoly(MPoly):
+    """Sparse Laurent polynomial in X: dict exponent -> nonzero coefficient.
 
-    __slots__ = ("coeffs",)
+    The arithmetic is ``MPoly``'s, with integer exponents as keys.
+    """
 
-    def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
-        cleaned = {}
-        for e, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c:
-                cleaned[int(e)] = c
-        object.__setattr__(self, "coeffs", cleaned)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: Fraction(1)})
+    ONE = 0
+    key_mul = staticmethod(add)
 
     @classmethod
     def monomial(cls, coeff, exponent: int = 0) -> "LaurentPoly":
-        return cls({exponent: Fraction(coeff)})
+        return cls({exponent: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(out)
-
-    def monomial_mul(self, coeff: Fraction, exponent: int) -> "LaurentPoly":
-        if not coeff:
-            return LaurentPoly()
-        return LaurentPoly({e + exponent: c * coeff
-                            for e, c in self.coeffs.items()})
-
-    def eval_at(self, q: Fraction) -> Fraction:
+    def eval_at(self, q) -> Coeff:
         q = Fraction(q)
         if q == 0 and any(e < 0 for e in self.coeffs):
             raise ZeroSubstitution("negative power of X at X = 0")
-        return sum((c * q ** e for e, c in self.coeffs.items()), Fraction(0))
+        return sum(c * q ** e for e, c in self.coeffs.items())
 
     def __repr__(self):
         return self.to_text()
@@ -228,9 +175,9 @@ class SeriesY:
                 out[j + k] = out[j + k] + c * lp
         return SeriesY(out)
 
-    def scale_y_monomial(self, coeff: Fraction, exponent: int) -> "SeriesY":
+    def scale_y_monomial(self, coeff: Coeff, exponent: int) -> "SeriesY":
         """Substitute Y <- (coeff*X^exponent) * Y."""
-        return SeriesY([c.monomial_mul(Fraction(coeff) ** k, exponent * k)
+        return SeriesY([c.mul_monomial(exponent * k, coeff ** k)
                         for k, c in enumerate(self.coefficients)])
 
     def __repr__(self):
@@ -251,7 +198,7 @@ class RationalGF:
     def __init__(self, numerator: Mapping[int, LaurentPoly],
                  denominator: Iterable[Factor] = ()):
         num = {int(k): v for k, v in numerator.items() if not v.is_zero()}
-        den = tuple(sorted((Fraction(c), int(a)) for c, a in denominator))
+        den = tuple(sorted((c, int(a)) for c, a in denominator))
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
 
@@ -271,7 +218,7 @@ class RationalGF:
     @classmethod
     def geometric(cls) -> "RationalGF":
         """1 / (1 - Y), the Hadamard identity."""
-        return cls({0: LaurentPoly.one()}, [(Fraction(1), 0)])
+        return cls({0: LaurentPoly.one()}, [(1, 0)])
 
     def is_zero(self) -> bool:
         return not self.numerator
@@ -297,7 +244,7 @@ class RationalGF:
         return groups
 
     @staticmethod
-    def _factor_text(c: Fraction, a: int, latex: bool) -> str:
+    def _factor_text(c: Coeff, a: int, latex: bool) -> str:
         # the factor is 1 - c*X^a*Y; render via the Y-coefficient -c*X^a
         mono = LaurentPoly.monomial(-c, a)
         body = mono.to_text(latex=latex)
@@ -394,19 +341,14 @@ class RationalGF:
 def expand(r: RationalGF, order: int = DEFAULT_ORDER) -> SeriesY:
     """Exact Y-power-series expansion of ``r`` through Y^order.
 
-    Division by each factor 1 - m*Y is the recurrence b_k = a_k + m*b_{k-1};
-    multiplying the result back by the denominator reproduces the numerator
+    Multiplying the result back by the denominator reproduces the numerator
     through the truncation order.
     """
     if order < 0:
         raise BadParameters(f"series order must be >= 0, got {order}")
     coeffs = [r.numerator.get(k, LaurentPoly.zero()) for k in range(order + 1)]
-    for c, a in r.denominator:
-        prev = coeffs[0]
-        for k in range(1, order + 1):
-            prev = coeffs[k] + prev.monomial_mul(c, a)
-            coeffs[k] = prev
-    return SeriesY(coeffs)
+    factors = [(a, c) for c, a in r.denominator]
+    return SeriesY(divide_by_factors(coeffs, factors))
 
 
 def equal(a: RationalGF, b: RationalGF) -> bool:
@@ -421,8 +363,11 @@ def equal(a: RationalGF, b: RationalGF) -> bool:
 def scale_y(r: RationalGF, sm: SignedMonomial) -> RationalGF:
     """Substitute Y <- sm * Y (sm a signed power of X), exactly."""
     sm = SignedMonomial(*sm)
-    numerator = {k: lp.monomial_mul(Fraction(sm.sign) ** k, sm.exponent * k)
-                 for k, lp in r.numerator.items()}
+    numerator = {}
+    for k, lp in r.numerator.items():
+        # k may be negative (from JSON); sm ** k keeps the sign an int
+        power = sm ** k
+        numerator[k] = lp.mul_monomial(power.exponent, power.sign)
     denominator = [(c * sm.sign, a + sm.exponent) for c, a in r.denominator]
     return RationalGF(numerator, denominator)
 
@@ -464,12 +409,11 @@ def w_of_terms(terms: Iterable[tuple[ColouredPermutation, int]],
     for length, by_des in rows.items():
         term: YPoly = {des: LaurentPoly(by_exp)
                        for des, by_exp in by_des.items()}
-        cofactor = [(Fraction(1), eps * i)
-                    for i in range(length + 1, max_len + 1)]
+        cofactor = [(1, eps * i) for i in range(length + 1, max_len + 1)]
         if cofactor:
             term = _ypoly_mul(term, _ypoly_from_factors(cofactor))
         numerator = _ypoly_add(numerator, term)
-    denominator = [(Fraction(1), eps * i) for i in range(max_len + 1)]
+    denominator = [(1, eps * i) for i in range(max_len + 1)]
     return RationalGF(numerator, denominator)
 
 

@@ -27,7 +27,7 @@ from .configurations import (ColouredConfiguration, Label,
                              LabelledConfiguration, config_shuffle,
                              make_strongly_disjoint, merge_labels)
 from .errors import BadParameters
-from .mpoly import MPoly, ONE_MONOMIAL, monomial
+from .mpoly import MPoly, divide_by_factors, monomial
 from .permutations import (ColouredInteger, ColouredPermutation, EMPTY,
                            StatTriple, all_coloured_permutations, s_des,
                            s_des_raw, stat_triple, stat_triple_raw)
@@ -124,16 +124,11 @@ class HImage:
 
     def series(self, order: int) -> list[MPoly]:
         """Exact coefficients of t^0 .. t^order."""
-        coeffs = [MPoly.zero() for _ in range(order + 1)]
+        coeffs = [MPoly.zero()] * (order + 1)
         if self.t_power <= order:
             coeffs[self.t_power] = self.numerator
-        for i in self.denom_powers:
-            mono = monomial((X_VAR, i)) if i else ONE_MONOMIAL
-            prev = coeffs[0]
-            for k in range(1, order + 1):
-                prev = coeffs[k] + prev.mul_monomial(mono)
-                coeffs[k] = prev
-        return coeffs
+        return divide_by_factors(
+            coeffs, [(monomial((X_VAR, i)), 1) for i in self.denom_powers])
 
     def leading_term(self) -> tuple[int, MPoly]:
         """The lowest t-degree and its coefficient (numerator itself)."""
@@ -257,6 +252,19 @@ def _random_relabelling_case(rng: random.Random, max_len: int, colours: int):
     targets = sorted(rng.sample(range(1, 8 * max_len + 4), n))
     mapping = dict(zip(sorted(symbols), targets))
     return ColouredPermutation(entries), mapping
+
+
+def _relabelling_cases(rng: random.Random, trials: int, max_len: int,
+                       colours: int):
+    """Phase 1's cases, drawn one at a time so that a violation found early
+    stops the drawing: a sweep over short permutations, then ``trials``
+    random cases."""
+    for n in range(0, min(max_len, 3) + 1):
+        for perm in all_coloured_permutations(n, colours):
+            yield perm, {s: s + 1 for s in perm.symbols()}
+            yield perm, {s: 2 * s for s in perm.symbols()}
+    for _ in range(trials):
+        yield _random_relabelling_case(rng, max_len, colours)
 
 
 def _check_compat_bounds(trials: int, max_len: int, colours: int) -> None:
@@ -472,15 +480,8 @@ def check_shuffle_compatibility(stat: Statistic, trials: int = 200,
     performed = 0
 
     # phase 1: relabelling invariance
-    rng = random.Random(seed)
-    cases = []
-    for n in range(0, min(max_len, 3) + 1):
-        for perm in all_coloured_permutations(n, colours):
-            cases.append((perm, {s: s + 1 for s in perm.symbols()}))
-            cases.append((perm, {s: 2 * s for s in perm.symbols()}))
-    for _ in range(trials):
-        cases.append(_random_relabelling_case(rng, max_len, colours))
-    for perm, mapping in cases:
+    for perm, mapping in _relabelling_cases(random.Random(seed), trials,
+                                            max_len, colours):
         performed += 1
         relabelled = perm.relabel(mapping)
         if stat(perm) != stat(relabelled):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -142,8 +141,8 @@ FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _one(a: int) -> tuple[Fraction, int]:
-    return (Fraction(1), a)
+def _one(a: int) -> tuple[int, int]:
+    return (1, a)
 
 
 def _closed(num_exps: Sequence[int], den_exps: Sequence[int]) -> RationalGF:

@@ -23,7 +23,8 @@ def coloured_permutations(draw, max_len=5, max_colour=3, symbol_pool=12):
 def laurent_polys(draw, max_terms=4, exp_range=4):
     terms = draw(st.dictionaries(
         st.integers(-exp_range, exp_range),
-        st.fractions(min_value=-9, max_value=9, max_denominator=5),
+        st.one_of(st.integers(-9, 9),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=5)),
         max_size=max_terms))
     return LaurentPoly(terms)
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +203,29 @@ def test_out_of_range_bounds_are_usage_errors(argv, config_files, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_cases():
+    # left.txt has a label with a negative X-exponent; in right.txt two
+    # terms cancel in W
+    left, right = str(GOLDEN / "left.txt"), str(GOLDEN / "right.txt")
+    for fmt in ("text", "json", "latex"):
+        for name, path in (("left", left), ("right", right)):
+            yield (f"w_{name}_{fmt}",
+                   ["w", path, "--order", "6", "--format", fmt])
+        yield (f"hadamard_{fmt}",
+               ["hadamard", left, right, "--verify", "9", "--format", fmt])
+        yield (f"zeta_hadamard_{fmt}",
+               ["zeta", "hadamard", "mat:2,1", "so:3", "f2d_cc:4", "Tn:1",
+                "--format", fmt])
+
+
+@pytest.mark.parametrize("name,argv", [pytest.param(name, argv, id=name)
+                                       for name, argv in _golden_cases()])
+def test_golden_stdout(name, argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == (GOLDEN / f"{name}.out").read_text()

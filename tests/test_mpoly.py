@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 from hypothesis import given, strategies as st
 
 from colshuffle.mpoly import MPoly, monomial, monomial_mul
@@ -13,7 +11,9 @@ def mpolys(draw):
     for _ in range(n_terms):
         mono = monomial(*[(draw(st.sampled_from(vars_)), draw(st.integers(1, 3)))
                           for _ in range(draw(st.integers(0, 2)))])
-        coeffs[mono] = Fraction(draw(st.integers(-5, 5)))
+        coeffs[mono] = draw(st.one_of(
+            st.integers(-5, 5),
+            st.fractions(min_value=-5, max_value=5, max_denominator=5)))
     return MPoly(coeffs)
 
 

@@ -49,6 +49,14 @@ def test_laurent_ring_laws(a, b, c):
     assert (a - a).is_zero()
 
 
+def test_int_and_fraction_coefficients_agree():
+    plain, rational = LaurentPoly({0: 1}), LaurentPoly({0: Fraction(1)})
+    assert plain == rational
+    assert hash(plain) == hash(rational)
+    assert (RationalGF({0: plain}, [(1, 0)]).to_json()
+            == RationalGF({0: rational}, [(Fraction(1), 0)]).to_json())
+
+
 def test_laurent_eval():
     p = lp(e1=1, e0=-2, em1=1)  # X - 2 + X^-1
     assert p.eval_at(Fraction(2)) == Fraction(1, 2)
@@ -329,6 +337,55 @@ def test_rescaled_hadamard_of_series(seed):
     rhs = expand(A, order).hadamard(expand(B, order)) \
         .scale_y_monomial(Fraction(uv.sign), uv.exponent)
     assert lhs == rhs
+
+
+# -- exactness ------------------------------------------------------------------------
+
+def _coefficients(obj):
+    """Every coefficient held by a RationalGF, a SeriesY, a Y-polynomial or
+    a LaurentPoly."""
+    if isinstance(obj, RationalGF):
+        yield from _coefficients(obj.numerator)
+        yield from (c for c, _ in obj.denominator)
+    elif isinstance(obj, SeriesY):
+        for lp in obj.coefficients:
+            yield from lp.coeffs.values()
+    elif isinstance(obj, dict):
+        for lp in obj.values():
+            yield from lp.coeffs.values()
+    else:
+        yield from obj.coeffs.values()
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=0, eps=0, q=Fraction(1, 2), low_y=-1)
+@given(st.integers(0, 10**6), st.integers(-2, 2),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7)
+       .filter(lambda q: q.denominator > 1),
+       st.integers(-3, -1))
+def test_coefficients_are_int_or_fraction(seed, eps, q, low_y):
+    """No float or bool is reachable, whatever the path: W, expansion,
+    Hadamard products, rescaling (also of a negative Y-degree read from
+    JSON), substitution at a non-integral X and cross-multiplication."""
+    from colshuffle import hadamard_general
+    from colshuffle.verify import random_coherent_pair
+    rng = random.Random(seed)
+    lhs, rhs = random_coherent_pair(rng)
+    a, b = w_of(lhs, eps), w_of(rhs, eps)
+    sm = SignedMonomial(rng.choice((1, -1)), rng.randint(-2, 2))
+    obj = a.to_json_obj()
+    obj["numerator"].append({"y": low_y,
+                             "coefficient": [{"x": 1, "value": "-3"}]})
+    parsed = RationalGF.from_json_obj(obj)
+    series = expand(a, 6)
+    reached = [a, b, series, series.hadamard(expand(b, 6)),
+               hadamard_general(lhs, rhs, eps), scale_y(a, sm),
+               substitute(a, q), substitute(b, q, sm),
+               _ypoly_mul(a.numerator, _ypoly_from_factors(b.denominator)),
+               parsed, scale_y(parsed, sm)]
+    for obj in reached:
+        for c in _coefficients(obj):
+            assert type(c) in (int, Fraction), (obj, c)
 
 
 # -- serialisation -------------------------------------------------------------------

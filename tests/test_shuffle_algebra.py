@@ -17,6 +17,7 @@ from colshuffle import (BadParameters, ColouredConfiguration,
                         hadamard_iterated,
                         hadamard_via_theorem, make_strongly_disjoint,
                         parse_permutation, shuffles, stat_triple, w_of)
+from colshuffle import shuffle_algebra
 from colshuffle.mpoly import monomial
 from colshuffle.shuffle_algebra import (STATISTICS, X_VAR, Z_VAR, CompatReport,
                                        p_var)
@@ -225,6 +226,25 @@ def test_planted_control_is_caught():
     obj = report.to_json_obj()
     assert obj["statistic"] == "first_symbol"
     assert "counterexample" in obj
+
+
+def test_planted_control_draws_cases_lazily(monkeypatch):
+    """The control fails within the first few checks, so a huge ``trials``
+    draws no more random cases than the checks performed."""
+    original = shuffle_algebra._random_relabelling_case
+    drawn = 0
+
+    def counting(*args):
+        nonlocal drawn
+        drawn += 1
+        return original(*args)
+
+    monkeypatch.setattr(shuffle_algebra, "_random_relabelling_case", counting)
+    report = check_shuffle_compatibility(
+        STATISTICS["first_symbol"], trials=10**5, max_len=4,
+        statistic_name="first_symbol")
+    assert report.counterexample["kind"] == "relabelling"
+    assert drawn <= report.trials
 
 
 def inversions(a):
