@@ -4,8 +4,10 @@ functions attached to labelled coloured configurations.
 The package models coloured permutations and their descent statistics,
 configurations (multisets of coloured permutations) with signed-monomial
 labels on colours, and the rational generating functions these data define.
-Hadamard products of such functions are computed in closed form by
-shuffling configurations, verified against truncated-series oracles, and
+Hadamard products of such functions are computed in closed form by one
+series kernel (``ratfun.hadamard``), whose denominator and degree bound come
+from the shuffle theorem; shuffled configurations are built only where a
+caller asks for one, or to check the theorem.  The products are
 instantiated on a catalog of zeta functions of modules, groups and graphs.
 """
 

@@ -17,6 +17,7 @@ exponent ``eps`` the rational series summing, over the support, the terms
     (1 - Y)(1 - X^eps Y) ... (1 - X^(eps*|a|) Y)
 
 brought over the common denominator of the longest support element.
+``hadamard`` is the one closed form of Hadamard products of W's.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .configurations import (Label, LabelledConfiguration, SignedMonomial,
+from .configurations import (LabelledConfiguration, SignedMonomial,
                              evaluate_label)
 from .errors import BadParameters, OrderMismatch, ZeroSubstitution
 from .mpoly import Coeff, MPoly, divide_by_factors
-from .permutations import ColouredPermutation, stat_triple_raw
+from .permutations import stat_triple_raw
 
 __all__ = [
     "LaurentPoly",
@@ -39,6 +40,7 @@ __all__ = [
     "DEFAULT_ORDER",
     "expand",
     "w_of",
+    "hadamard",
     "equal",
     "scale_y",
     "substitute",
@@ -342,10 +344,14 @@ def expand(r: RationalGF, order: int = DEFAULT_ORDER) -> SeriesY:
     """Exact Y-power-series expansion of ``r`` through Y^order.
 
     Multiplying the result back by the denominator reproduces the numerator
-    through the truncation order.
+    through the truncation order.  A negative Y-degree in the numerator
+    raises ``BadParameters``.
     """
     if order < 0:
         raise BadParameters(f"series order must be >= 0, got {order}")
+    if r.numerator and min(r.numerator) < 0:
+        raise BadParameters(f"cannot expand the negative Y-degree "
+                            f"{min(r.numerator)} as a power series")
     coeffs = [r.numerator.get(k, LaurentPoly.zero()) for k in range(order + 1)]
     factors = [(a, c) for c, a in r.denominator]
     return SeriesY(divide_by_factors(coeffs, factors))
@@ -386,41 +392,66 @@ def substitute(r: RationalGF, x_value, y_scale: SignedMonomial | None = None) ->
     return RationalGF(numerator, denominator)
 
 
-def w_of_terms(terms: Iterable[tuple[ColouredPermutation, int]],
-               label: Label, eps: int) -> RationalGF:
-    """W of the configuration whose (permutation, multiplicity) pairs
-    ``terms`` yields, under ``label``; ``terms`` may be a generator.
-
-    Coefficients are summed as integers per (length, des, X-exponent), and
-    each length's rows are multiplied once by the cofactor that brings them
-    over the common denominator.  No terms give 0.
-    """
-    rows: dict[int, dict[int, dict[int, int]]] = {}
-    for perm, mult in terms:
-        des, comaj, _ = stat_triple_raw(perm.entries)
-        value = evaluate_label(label, perm)
-        by_exp = rows.setdefault(len(perm), {}).setdefault(des, {})
-        e = value.exponent + eps * comaj
-        by_exp[e] = by_exp.get(e, 0) + mult * value.sign
-    if not rows:
-        return RationalGF.zero()
-    max_len = max(rows)
-    numerator: YPoly = {}
-    for length, by_des in rows.items():
-        term: YPoly = {des: LaurentPoly(by_exp)
-                       for des, by_exp in by_des.items()}
-        cofactor = [(1, eps * i) for i in range(length + 1, max_len + 1)]
-        if cofactor:
-            term = _ypoly_mul(term, _ypoly_from_factors(cofactor))
-        numerator = _ypoly_add(numerator, term)
-    denominator = [(1, eps * i) for i in range(max_len + 1)]
-    return RationalGF(numerator, denominator)
+def _w_denominator(eps: int, n: int) -> list[Factor]:
+    """The factors of (1 - Y)(1 - X^eps Y) ... (1 - X^(n*eps) Y)."""
+    return [(1, eps * i) for i in range(n + 1)]
 
 
 def w_of(lc: LabelledConfiguration, eps: int) -> RationalGF:
     """The rational generating function of a labelled configuration.
 
-    The zero configuration gives 0; the configuration consisting of the
-    empty permutation alone gives 1/(1-Y).
+    Coefficients are summed as integers per (length, des, X-exponent), and
+    each length's rows are multiplied once by the cofactor that brings them
+    over the common denominator.  The zero configuration gives 0; the
+    configuration consisting of the empty permutation alone gives 1/(1-Y).
     """
-    return w_of_terms(lc.config.terms, lc.label, eps)
+    rows: dict[int, dict[int, dict[int, int]]] = {}
+    for perm, mult in lc.config.terms:
+        des, comaj, _ = stat_triple_raw(perm.entries)
+        value = evaluate_label(lc.label, perm)
+        by_exp = rows.setdefault(len(perm), {}).setdefault(des, {})
+        e = value.exponent + eps * comaj
+        by_exp[e] = by_exp.get(e, 0) + mult * value.sign
+    if not rows:
+        return RationalGF.zero()
+    denominator = _w_denominator(eps, max(rows))
+    numerator: YPoly = {}
+    for length, by_des in rows.items():
+        term: YPoly = {des: LaurentPoly(by_exp)
+                       for des, by_exp in by_des.items()}
+        cofactor = denominator[length + 1:]
+        if cofactor:
+            term = _ypoly_mul(term, _ypoly_from_factors(cofactor))
+        numerator = _ypoly_add(numerator, term)
+    return RationalGF(numerator, denominator)
+
+
+def _w_length(r: RationalGF, eps: int) -> int | None:
+    """n if ``r`` has the W denominator of length n, None if ``r`` is 0."""
+    if r.is_zero() and not r.denominator:
+        return None
+    n = len(r.denominator) - 1
+    if n < 0 or r.denominator != tuple(sorted(_w_denominator(eps, n))):
+        raise ValueError(f"denominator {r.denominator_text()} is not "
+                         f"a W denominator for eps = {eps}")
+    return n
+
+
+def hadamard(rgfs: Sequence[RationalGF], eps: int) -> RationalGF:
+    """The closed form of the Hadamard product (in Y) of W's for ``eps``.
+
+    By the shuffle theorem, W's of max lengths n_1, ..., n_k multiply to the
+    W denominator of N = n_1 + ... + n_k over a numerator of Y-degree <= N:
+    the product series through Y^N times that denominator.  No operands give
+    1/(1-Y), a zero operand 0, and a non-W denominator ``ValueError``.
+    """
+    lengths = [_w_length(r, eps) for r in rgfs]
+    if None in lengths:
+        return RationalGF.zero()
+    n = sum(lengths)
+    series = SeriesY([LaurentPoly.one()] * (n + 1))
+    for r in rgfs:
+        series = series.hadamard(expand(r, n))
+    denominator = _w_denominator(eps, n)
+    numerator = series.cauchy_mul(_ypoly_from_factors(denominator))
+    return RationalGF(dict(enumerate(numerator.coefficients)), denominator)

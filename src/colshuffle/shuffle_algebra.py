@@ -3,9 +3,10 @@
 The central fact driving this module: for coherent labelled coloured
 configurations, the Hadamard product (in Y) of their generating functions is
 the generating function of the shuffled configuration under the merged
-label.  ``hadamard_via_theorem`` computes the closed form that way;
-``hadamard_general`` first replaces the right operand by an equivalent,
-strongly disjoint copy so that arbitrary operands can be multiplied.
+label.  ``hadamard_via_theorem`` and ``hadamard_iterated`` build that
+shuffled configuration, for callers that need the configuration itself and
+as the oracle of the theorem; ``hadamard_general`` multiplies arbitrary
+operands by the series kernel ``ratfun.hadamard``, without shuffling.
 
 The module also hosts the embedding of statistic classes into a power
 series ring in t with Hadamard multiplication (``h_map``/``h_tilde_map``)
@@ -31,7 +32,7 @@ from .mpoly import MPoly, divide_by_factors, monomial
 from .permutations import (ColouredInteger, ColouredPermutation, EMPTY,
                            StatTriple, all_coloured_permutations, s_des,
                            s_des_raw, stat_triple, stat_triple_raw)
-from .ratfun import RationalGF, w_of
+from .ratfun import RationalGF, hadamard, w_of
 
 __all__ = [
     "hadamard_via_theorem",
@@ -83,13 +84,11 @@ def hadamard_general(lhs: LabelledConfiguration,
                      eps: int) -> RationalGF:
     """Hadamard product of arbitrary labelled configurations.
 
-    The right operand is replaced by an equivalent strongly disjoint copy,
-    which leaves its generating function unchanged; the result is again the
-    generating function of a labelled configuration.
+    Computed by the series kernel from the operands' generating functions.
+    By the theorem it is the generating function of the shuffle of ``lhs``
+    with a strongly disjoint copy of ``rhs``, which is never built.
     """
-    rhs_disjoint = make_strongly_disjoint(lhs, rhs)
-    _, result = hadamard_via_theorem(lhs, rhs_disjoint, eps)
-    return result
+    return hadamard([w_of(lhs, eps), w_of(rhs, eps)], eps)
 
 
 def hadamard_identity() -> LabelledConfiguration:

@@ -19,7 +19,7 @@ from .permutations import (ColouredPermutation, all_coloured_permutations,
 from .qsym import psi_closed_form_check, verify_product_rule
 from .ratfun import expand, w_of
 from .shuffle_algebra import (STATISTICS, check_shuffle_compatibility,
-                              hadamard_via_theorem)
+                              hadamard_general, hadamard_via_theorem)
 from .zeta import build_entry
 
 __all__ = [
@@ -85,8 +85,10 @@ def random_coherent_pair(rng: random.Random, max_support: int = 3,
 def theorem_suite(trials: int = 200, order: int = 10, seed: int = 0,
                   max_support: int = 3, max_len: int = 3,
                   exp_range: int = 3) -> dict:
-    """Random coherent pairs: the closed-form Hadamard product must match
-    the coefficientwise product of the expanded series."""
+    """Random coherent pairs: the closed form of the shuffled configuration
+    must match the coefficientwise product of the expanded series, and the
+    series kernel (``hadamard_general``) must give that closed form
+    structurally.  A failure names the check that failed."""
     _check_bounds(trials=trials, order=order, max_support=max_support,
                   max_len=max_len, exp_range=exp_range)
     rng = random.Random(seed)
@@ -97,9 +99,12 @@ def theorem_suite(trials: int = 200, order: int = 10, seed: int = 0,
         _, closed = hadamard_via_theorem(lhs, rhs, eps)
         oracle = expand(w_of(lhs, eps), order).hadamard(
             expand(w_of(rhs, eps), order))
-        if expand(closed, order) != oracle:
-            failures.append({"case": case, "eps": eps,
-                             "lhs": lhs.to_text(), "rhs": rhs.to_text()})
+        for check, ok in (("series_oracle", expand(closed, order) == oracle),
+                          ("hadamard_general",
+                           hadamard_general(lhs, rhs, eps) == closed)):
+            if not ok:
+                failures.append({"case": case, "eps": eps, "check": check,
+                                 "lhs": lhs.to_text(), "rhs": rhs.to_text()})
     return {"suite": "theorem", "cases": trials, "order": order,
             "seed": seed, "failures": failures}
 

@@ -22,25 +22,24 @@ Families (``d``, ``e``, ``n`` positive integers):
     unitriangular_oc d orbit counting for upper unitriangular (d+1) x (d+1)
                        matrices (gcd(q, d!) = 1)
 
-The module also provides the direct combinatorial formulas for iterated
-Hadamard products of matrix-module, class-counting and orbit-counting
-families, each as an explicit sum over colourings of permutation sets.
+The module also provides the direct formulas for iterated Hadamard
+products of matrix-module, class-counting and orbit-counting families: sums
+over colourings of permutation sets, computed in polynomial time by the
+series kernel ``ratfun.hadamard`` from the one-block closed forms.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
-from typing import Iterable, Iterator, Sequence
+from math import comb, prod
+from typing import Iterable, Sequence
 
 from .configurations import (ColouredConfiguration, Label,
                              LabelledConfiguration, SignedMonomial)
 from .errors import BadParameters, DeltaMismatch, UnknownFamily
-from .permutations import (EMPTY, ColouredInteger, ColouredPermutation,
-                           shuffles)
-from .ratfun import RationalGF, equal, scale_y, w_of, w_of_terms
-from .shuffle_algebra import hadamard_iterated
+from .permutations import ColouredInteger, ColouredPermutation
+from .ratfun import RationalGF, equal, hadamard, scale_y, w_of
 
 __all__ = [
     "ZetaEntry",
@@ -48,7 +47,6 @@ __all__ = [
     "underline",
     "underline_block",
     "pi_of",
-    "colourings",
     "hadamard_mde",
     "hadamard_f2d",
     "hadamard_ud",
@@ -57,11 +55,7 @@ __all__ = [
     "hadamard_entries",
     "ZetaHadamardResult",
     "FAMILY_PARAMS",
-    "MAX_PI_SYMBOLS",
 ]
-
-# exhaustive enumeration bound for sums over all colourings of S_n
-MAX_PI_SYMBOLS = 7
 
 
 @dataclass(frozen=True)
@@ -92,12 +86,11 @@ class ZetaEntry:
         return obj
 
 
-def colourings(words: Iterable[Sequence[int] | ColouredPermutation]
-               ) -> Iterator[ColouredPermutation]:
-    """Each entrywise colouring of uncoloured words, entry s coloured 0 or s,
-    yielded one at a time; each word is validated once."""
-    make = ColouredPermutation._raw
-    for word in words:
+def pi_of(perms: Iterable[Sequence[int] | ColouredPermutation]) -> ColouredConfiguration:
+    """All entrywise colourings of uncoloured permutations, each entry s
+    receiving colour 0 or s."""
+    coloured = []
+    for word in perms:
         if isinstance(word, ColouredPermutation):
             if word.palette_star():
                 raise ValueError("input permutations must be uncoloured")
@@ -105,14 +98,9 @@ def colourings(words: Iterable[Sequence[int] | ColouredPermutation]
             word = ColouredPermutation((s, 0) for s in word)
         choices = [(e, ColouredInteger(e.symbol, e.symbol))
                    for e in word.entries]
-        for entries in itertools.product(*choices):
-            yield make(entries)
-
-
-def pi_of(perms: Iterable[Sequence[int] | ColouredPermutation]) -> ColouredConfiguration:
-    """All entrywise colourings of uncoloured permutations, each entry s
-    receiving colour 0 or s."""
-    return ColouredConfiguration.from_permutations(colourings(perms))
+        coloured.extend(map(ColouredPermutation._raw,
+                            itertools.product(*choices)))
+    return ColouredConfiguration.from_permutations(coloured)
 
 
 def underline_block(lo: int, hi: int) -> ColouredConfiguration:
@@ -245,23 +233,6 @@ def build_entry(family: str, **params: int) -> ZetaEntry:
 # -- direct Hadamard-product formulas ---------------------------------------
 
 
-def _colouring_sum(words: Iterable[Sequence[int] | ColouredPermutation],
-                   exponents: Iterable[int], delta: int) -> RationalGF:
-    """W of all colourings of ``words`` with eps = delta, where colour s is
-    labelled -X^(exponents[s-1]); streamed, never stored."""
-    label = Label({s: SignedMonomial(-1, k)
-                   for s, k in enumerate(exponents, start=1)})
-    return w_of_terms(zip(colourings(words), itertools.repeat(1)), label,
-                      delta)
-
-
-def _check_pi_bound(n: int) -> None:
-    if n > MAX_PI_SYMBOLS:
-        raise BadParameters(
-            f"exhaustive colouring sums are limited to {MAX_PI_SYMBOLS} "
-            f"symbols (2^n * n! terms); got n = {n}")
-
-
 def hadamard_mde(dims: Sequence[tuple[int, int]]) -> RationalGF:
     """Hadamard product of matrix-module entries with equal differences.
 
@@ -270,7 +241,8 @@ def hadamard_mde(dims: Sequence[tuple[int, int]]) -> RationalGF:
     the symmetric group words of -X^(-d_i)-weighted descent terms over the
     denominator (1 - Y)(1 - X^delta Y) ... (1 - X^(n*delta) Y).
 
-    Computed directly from that sum, independent of the shuffle route.
+    Computed by the series kernel from the blocks' closed forms
+    (1 - X^(-e_i) Y) / ((1 - Y)(1 - X^delta Y)), in time polynomial in n.
     """
     if not dims:
         raise BadParameters("need at least one (d, e) block")
@@ -280,10 +252,7 @@ def hadamard_mde(dims: Sequence[tuple[int, int]]) -> RationalGF:
     if any(d < 1 or e < 1 for d, e in dims):
         raise BadParameters("dimensions must be positive")
     delta = deltas.pop()
-    n = len(dims)
-    _check_pi_bound(n)
-    return _colouring_sum(itertools.permutations(range(1, n + 1)),
-                          [-d for d, _ in dims], delta)
+    return hadamard([_closed([-e], [0, delta]) for _, e in dims], delta)
 
 
 @dataclass(frozen=True)
@@ -302,15 +271,13 @@ class F2dFormula:
 
 def hadamard_f2d(d_list: Sequence[int]) -> F2dFormula:
     """Hadamard product of the class-counting entries for free
-    class-2-nilpotent groups on d_1, ..., d_n generators."""
+    class-2-nilpotent groups on d_1, ..., d_n generators: ``hadamard_mde``'s
+    colouring sum with eps = 1, from the blocks' ``so`` closed forms."""
     if not d_list:
         raise BadParameters("need at least one d")
     if any(d < 1 for d in d_list):
         raise BadParameters("generator counts must be positive")
-    n = len(d_list)
-    _check_pi_bound(n)
-    rgf = _colouring_sum(itertools.permutations(range(1, n + 1)),
-                         [-d for d in d_list], 1)
+    rgf = hadamard([_closed([1 - d], [0, 1]) for d in d_list], 1)
     shift = SignedMonomial.x_power(-sum(comb(d, 2) for d in d_list))
     return F2dFormula(rgf, shift, (_CONDITION_ODD,))
 
@@ -333,31 +300,26 @@ def hadamard_ud(d_list: Sequence[int]) -> UdFormula:
     """Hadamard product of orbit-counting entries for unitriangular groups
     of sizes d_1 + 1, ..., d_n + 1 (d_i = 0 contributes an empty block).
 
-    Builds the shuffle set of the consecutive increasing blocks, colours it
-    in all ways, and sums (-X)^(-#nonzero colours) Y^des over the result;
-    the denominator is (1 - Y)^(total length + 1).
+    The sum of (-X)^(-#nonzero colours) Y^des over all colourings of the
+    shuffle set of the consecutive increasing blocks, over (1 - Y)^(total
+    length + 1), computed by the series kernel from the blocks' closed
+    forms; ``t_size``, the size of that set, is the multinomial coefficient.
     """
     if any(d < 0 for d in d_list):
         raise BadParameters("block sizes must be nonnegative")
-    bounds = list(itertools.accumulate(d_list, initial=0))
-    total = bounds[-1]
-    _check_pi_bound(total)
-    words = [EMPTY]
-    for lo, hi in zip(bounds, bounds[1:]):
-        block = ColouredPermutation((s, 0) for s in range(lo + 1, hi + 1))
-        words = [sh for w in words for sh in shuffles(w, block)]
-    rgf = _colouring_sum(words, [-1] * total, 0)
+    rgf = hadamard([_closed([-1] * d, [0] * (d + 1)) for d in d_list], 0)
+    t_size = prod(map(comb, itertools.accumulate(d_list), d_list))
     m = max(d_list, default=0)
     conditions = (f"gcd(q, {max(m - 1, 0)}!) = 1",)
-    return UdFormula(rgf, SignedMonomial.x_power(-len(d_list)), len(words),
+    return UdFormula(rgf, SignedMonomial.x_power(-len(d_list)), t_size,
                      conditions)
 
 
 @dataclass(frozen=True)
 class ZetaHadamardResult:
-    """Hadamard product of catalog entries via the shuffle route."""
+    """Hadamard product of catalog entries: the closed form ``rgf`` with Y
+    rescaled by ``shift``, the product of the entries' shifts."""
 
-    lc: LabelledConfiguration
     eps: int
     shift: SignedMonomial
     rgf: RationalGF
@@ -376,9 +338,9 @@ class ZetaHadamardResult:
 def hadamard_entries(entries: Sequence[ZetaEntry]) -> ZetaHadamardResult:
     """Hadamard product of catalog entries sharing the same eps.
 
-    The shuffled configuration's generating function, with Y rescaled by
-    the product of the entries' shifts, is the Hadamard product of the
-    entries' closed forms.
+    The series kernel's product of the entries' unshifted generating
+    functions, with Y rescaled by the product of the entries' shifts, is
+    the Hadamard product of the entries' closed forms.
     """
     if not entries:
         raise BadParameters("need at least one entry")
@@ -394,6 +356,6 @@ def hadamard_entries(entries: Sequence[ZetaEntry]) -> ZetaHadamardResult:
         for c in entry.conditions:
             if c not in conditions:
                 conditions.append(c)
-    lc, rgf = hadamard_iterated([entry.lc for entry in entries], eps)
-    return ZetaHadamardResult(lc, eps, shift, scale_y(rgf, shift),
+    rgf = hadamard([entry.w_raw() for entry in entries], eps)
+    return ZetaHadamardResult(eps, shift, scale_y(rgf, shift),
                               tuple(conditions))

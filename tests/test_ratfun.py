@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from colshuffle import (ColouredConfiguration, Label, LabelledConfiguration,
-                        LaurentPoly, OrderMismatch, RationalGF, SeriesY,
-                        SignedMonomial, ZeroSubstitution, canonicalize, equal,
-                        evaluate_label, expand, parse_permutation, scale_y,
-                        substitute, w_of)
-from colshuffle.ratfun import _ypoly_add, _ypoly_from_factors, _ypoly_mul
+from colshuffle import (BadParameters, ColouredConfiguration, Label,
+                        LabelledConfiguration, LaurentPoly, OrderMismatch,
+                        RationalGF, SeriesY, SignedMonomial, ZeroSubstitution,
+                        canonicalize, equal, evaluate_label, expand,
+                        hadamard_iterated, hadamard_ud, parse_permutation,
+                        scale_y, substitute, w_of)
+from colshuffle.ratfun import (_ypoly_add, _ypoly_from_factors, _ypoly_mul,
+                               hadamard)
 from conftest import coloured_permutations, laurent_polys
 
 P = parse_permutation
@@ -175,12 +177,12 @@ def w_of_per_term(lc, eps):
 
 
 @st.composite
-def labelled_configurations(draw):
+def labelled_configurations(draw, max_len=4, max_size=6):
     """Mixed lengths including the empty permutation; small label exponents
     and colours, so that terms often cancel; may be the zero configuration."""
     config = ColouredConfiguration(draw(st.lists(
-        st.tuples(coloured_permutations(max_len=4, max_colour=3),
-                  st.integers(1, 3)), max_size=6)))
+        st.tuples(coloured_permutations(max_len=max_len, max_colour=3),
+                  st.integers(1, 3)), max_size=max_size)))
     label = Label({c: SignedMonomial(draw(st.sampled_from((1, -1))),
                                      draw(st.integers(-1, 1)))
                    for c in sorted(config.palette_star())})
@@ -203,6 +205,48 @@ def test_w_of_structurally_equals_per_term_reference(lc, eps):
 
 def test_w_of_cancelling_terms_keep_the_denominator():
     assert w_of(_CANCELLING, 1) == RationalGF({}, [(one, 0), (one, 1)])
+
+
+_ZERO = LabelledConfiguration(ColouredConfiguration(), Label())
+_EMPTY_PERMUTATION = LabelledConfiguration(
+    ColouredConfiguration([(P(""), 2)]))
+
+
+@settings(deadline=None)
+@example([_CANCELLING, two_letter_lc(-1)], 0)
+@example([two_letter_lc(2), _ZERO], 1)
+@example([_EMPTY_PERMUTATION, _CANCELLING, two_letter_lc(0)], -2)
+@given(st.lists(labelled_configurations(max_len=2, max_size=3),
+                min_size=1, max_size=3),
+       st.integers(-2, 2))
+def test_hadamard_kernel_equals_shuffle_route(lcs, eps):
+    _, expected = hadamard_iterated(lcs, eps)
+    assert hadamard([w_of(lc, eps) for lc in lcs], eps) == expected
+
+
+def test_hadamard_kernel_without_operands_is_the_identity():
+    for eps in (-1, 0, 2):
+        assert hadamard([], eps) == RationalGF.geometric()
+    result = hadamard_ud([])
+    assert (result.rgf, result.t_size) == (RationalGF.geometric(), 1)
+
+
+def test_hadamard_kernel_rejects_non_w_denominators():
+    w = RationalGF({0: LaurentPoly.one()}, [(one, 0), (one, 1)])
+    assert hadamard([w, w], 1) == hadamard([w, w.from_json(w.to_json())], 1)
+    with pytest.raises(ValueError):
+        hadamard([w], 2)
+    for bad in (RationalGF({0: LaurentPoly.one()}),
+                RationalGF.from_factors([], [(1, 0), (1, 2)]),
+                RationalGF.from_factors([], [(2, 0), (1, 1)])):
+        with pytest.raises(ValueError):
+            hadamard([w, bad], 1)
+
+
+def test_expand_rejects_negative_y_degrees():
+    r = RationalGF({-1: LaurentPoly.one()}, [(1, 0)])
+    with pytest.raises(BadParameters, match="-1"):
+        expand(r, 3)
 
 
 # the eight shuffles and their (des, comaj), frozen from the worked example

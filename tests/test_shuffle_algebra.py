@@ -116,6 +116,17 @@ def test_hadamard_general_commutative_associative(seed):
                  hadamard_general(a, bc_lc, eps))
 
 
+def test_theorem_suite_names_the_failed_check(monkeypatch):
+    from colshuffle import verify
+    clean = verify.theorem_suite(trials=3, order=6, seed=1)
+    monkeypatch.setattr(verify, "hadamard_general",
+                        lambda lhs, rhs, eps: RationalGF.zero())
+    broken = verify.theorem_suite(trials=3, order=6, seed=1)
+    assert clean.keys() == broken.keys() and clean["failures"] == []
+    assert [(f["case"], f["check"]) for f in broken["failures"]] == \
+        [(case, "hadamard_general") for case in range(3)]
+
+
 def test_hadamard_iterated_is_w_of_its_configuration():
     entries = [lc_of({1: SignedMonomial(-1, -2)}, "1^0", "1^1"),
                lc_of({1: SignedMonomial(-1, -3)}, "1^0", "1^1")]

@@ -1,14 +1,16 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from colshuffle import (BadParameters, DeltaMismatch, LaurentPoly, RationalGF,
+from colshuffle import (BadParameters, DeltaMismatch, Label,
+                        LabelledConfiguration, LaurentPoly, RationalGF,
                         SignedMonomial, UnknownFamily, build_entry, equal,
                         expand, hadamard_entries, hadamard_f2d, hadamard_mde,
                         hadamard_ud,
                         parse_permutation, pi_of, scale_y, underline,
-                        underline_block)
+                        underline_block, w_of)
 from colshuffle.zeta import FAMILY_PARAMS
 
 P = parse_permutation
@@ -191,13 +193,99 @@ def test_mde_six_blocks_against_series_oracle():
     assert expand(direct, 12) == oracle
 
 
+def series_oracle(factors, order):
+    """The coefficientwise product of the factors' expansions."""
+    product = expand(factors[0], order)
+    for f in factors[1:]:
+        product = product.hadamard(expand(f, order))
+    return product
+
+
 def test_mde_errors():
     with pytest.raises(DeltaMismatch):
         hadamard_mde([(2, 1), (3, 1)])
     with pytest.raises(BadParameters):
         hadamard_mde([])
-    with pytest.raises(BadParameters):
-        hadamard_mde([(1, 1)] * 8)  # enumeration bound
+    # no enumeration bound: 8 and 12 blocks against the series oracle,
+    # to an order that determines the closed form
+    for n in (8, 12):
+        dims = [(d % 3 + 2, d % 3 + 1) for d in range(n)]
+        direct = hadamard_mde(dims)
+        factors = [build_entry("mat", d=d, e=e).closed_form for d, e in dims]
+        assert expand(direct, 2 * n + 1) == series_oracle(factors, 2 * n + 1)
+
+
+# -- the colouring sums, as the oracle of the direct formulas ----------------
+
+def colouring_sum(words, exponents, delta):
+    """W, with eps = delta, of all colourings of ``words`` (entry s coloured
+    0 or s) under the label s -> -X^(exponents[s-1])."""
+    label = Label({s: SignedMonomial(-1, k)
+                   for s, k in enumerate(exponents, start=1)})
+    return w_of(LabelledConfiguration(pi_of(words), label), delta)
+
+
+def block_lists(values, max_blocks=5):
+    for n in range(1, max_blocks + 1):
+        yield from itertools.combinations_with_replacement(values, n)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1, 2])
+def test_mde_equals_colouring_sum(delta):
+    lo = max(1, 1 - delta)
+    for es in block_lists(range(lo, lo + 3)):
+        n = len(es)
+        expected = colouring_sum(itertools.permutations(range(1, n + 1)),
+                                 [-e - delta for e in es], delta)
+        assert hadamard_mde([(e + delta, e) for e in es]) == expected
+
+
+def test_f2d_equals_colouring_sum():
+    for ds in block_lists(range(1, 4)):
+        n = len(ds)
+        expected = colouring_sum(itertools.permutations(range(1, n + 1)),
+                                 [-d for d in ds], 1)
+        assert hadamard_f2d(list(ds)).rgf == expected
+
+
+def ud_shapes(max_total):
+    """Every composition of a total <= max_total, and each of them with one
+    empty block inserted at every position."""
+    yield from ([], [0])
+    for total in range(1, max_total + 1):
+        for k in range(total):
+            for cuts in itertools.combinations(range(1, total), k):
+                bounds = (0, *cuts, total)
+                shape = [b - a for a, b in zip(bounds, bounds[1:])]
+                yield shape
+                for i in range(len(shape) + 1):
+                    yield shape[:i] + [0] + shape[i:]
+
+
+def ud_colouring_sum(shape):
+    """The colouring sum over the shuffles of the consecutive increasing
+    blocks of the given sizes, and the number of those shuffles."""
+    total = sum(shape)
+    blocks = [range(lo + 1, lo + d + 1) for lo, d in
+              zip(itertools.accumulate(shape, initial=0), shape)]
+    words = []
+    for w in itertools.permutations(range(1, total + 1)):
+        position = {s: i for i, s in enumerate(w)}
+        if all(position[s] < position[s + 1] for b in blocks for s in b[:-1]):
+            words.append(w)
+    return colouring_sum(words, [-1] * total, 0), len(words)
+
+
+def test_ud_equals_colouring_sum():
+    # the product is symmetric in the blocks and empty blocks are the
+    # identity, so shapes with the same nonzero sizes share one oracle
+    oracles = {}
+    for shape in ud_shapes(6):
+        key = tuple(sorted(d for d in shape if d))
+        if key not in oracles:
+            oracles[key] = ud_colouring_sum(key)
+        result = hadamard_ud(shape)
+        assert (result.rgf, result.t_size) == oracles[key], shape
 
 
 # -- class-counting products -----------------------------------------------------
