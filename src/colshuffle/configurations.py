@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
+from math import comb
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import NotCoherent, ParseError, SymbolOverlap
+from .errors import BadParameters, NotCoherent, ParseError, SymbolOverlap
 from .permutations import ColouredPermutation, parse_permutation, shuffles
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "LabelledConfiguration",
     "evaluate_label",
     "config_shuffle",
+    "MAX_SHUFFLE_WORDS",
     "canonicalize",
     "make_strongly_disjoint",
     "check_coherence",
@@ -212,12 +215,26 @@ class ColouredConfiguration:
         return inner or "0"
 
 
+# config_shuffle materialises every shuffle of every pair of terms: the sum
+# over term pairs (a, b) of C(len a + len b, len a) words.  Beyond this many
+# it raises BadParameters before shuffling.
+MAX_SHUFFLE_WORDS = 1_000_000
+
+
 def config_shuffle(f: ColouredConfiguration,
                    g: ColouredConfiguration) -> ColouredConfiguration:
     """Bi-additive extension of the shuffle to configurations."""
     if f.symbols() & g.symbols():
         raise SymbolOverlap(
             f"shared symbols: {sorted(f.symbols() & g.symbols())}")
+    f_lengths = Counter(len(a) for a, _ in f.terms)
+    g_lengths = Counter(len(b) for b, _ in g.terms)
+    words = sum(k * l * comb(n + m, n) for n, k in f_lengths.items()
+                for m, l in g_lengths.items())
+    if words > MAX_SHUFFLE_WORDS:
+        raise BadParameters(
+            f"the shuffle has {words} words, over the cap of "
+            f"{MAX_SHUFFLE_WORDS}")
     terms = []
     for a, fa in f.terms:
         for b, gb in g.terms:

@@ -8,7 +8,8 @@ descent, of the monomials x_{i_1}^(c_1) ... x_{i_n}^(c_n).
 
 ``psi_m`` specialises x_i^(0) -> x^(i-1) p_0 for i <= m and
 x_i^(j) -> x^(i-1) p_j for 1 < i <= m (all other variables, including every
-x_1^(j) with j >= 1, go to zero).  Summing psi_m against t^(m-1) over m
+x_1^(j) with j >= 1, go to zero); ``psi_series`` gives psi_1, ..., psi_m in
+one pass over the expansion.  Summing psi_m against t^(m-1) over m
 recovers, per permutation class, the closed form
 
     p^col x^comaj t^des / ((1-t)(1-xt)...(1-x^n t)),
@@ -22,7 +23,8 @@ from typing import Iterator
 
 from .errors import ColourOutOfRange, SymbolOverlap
 from .mpoly import MPoly, Monomial, monomial
-from .permutations import ColouredPermutation, descent_set, shuffles, stat_triple
+from .permutations import (ColouredPermutation, descent_set, s_des_raw,
+                           shuffles, stat_triple)
 from .shuffle_algebra import HImage, X_VAR, p_var
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "expand_F",
     "verify_product_rule",
     "psi_m",
+    "psi_series",
     "psi_closed_form_check",
 ]
 
@@ -113,46 +116,73 @@ def expand_F(a: ColouredPermutation, m: int, r: int | None = None) -> TruncatedQ
 
 
 def verify_product_rule(a: ColouredPermutation, b: ColouredPermutation,
-                        m: int) -> bool:
+                        m: int, expansions: dict | None = None) -> bool:
     """Check F_a * F_b against the sum of F_c over all shuffles c, both
     truncated at cutoff m (truncation commutes with the product, so this
-    compares every monomial in variables with index <= m)."""
+    compares every monomial in variables with index <= m).
+
+    F depends only on the coloured descent set, so expansions are looked up
+    in ``expansions`` by (coloured descent set, m); a caller checking many
+    pairs passes one dict to expand each class once."""
     if a.symbols() & b.symbols():
         raise SymbolOverlap("operands share a symbol")
-    r = max([e.colour for e in a.entries] + [e.colour for e in b.entries],
-            default=0) + 1
-    product = expand_F(a, m, r) * expand_F(b, m, r)
-    total = MPoly.zero()
+    if expansions is None:
+        expansions = {}
+
+    def fundamental(c: ColouredPermutation) -> MPoly:
+        key = (s_des_raw(c.entries), m)
+        poly = expansions.get(key)
+        if poly is None:
+            poly = expansions[key] = expand_F(c, m).poly
+        return poly
+
+    total: dict[Monomial, int] = {}
     for c in shuffles(a, b):
-        total = total + expand_F(c, m, r).poly
-    return product.poly == total
+        for mono, coeff in fundamental(c).coeffs.items():
+            total[mono] = total.get(mono, 0) + coeff
+    return fundamental(a) * fundamental(b) == MPoly(total)
 
 
-def psi_m(F: TruncatedQSym, m: int) -> MPoly:
-    """Specialise a truncated expansion; requires F.m >= m so that every
-    surviving monomial (all indices <= m) is present in the truncation."""
-    if m < 1:
+def psi_series(F: TruncatedQSym, cutoff: int) -> list[MPoly]:
+    """[psi_1(F), ..., psi_cutoff(F)]; requires F.m >= cutoff so that every
+    surviving monomial (all indices <= cutoff) is present in the truncation.
+
+    Each monomial of F is specialised once and filed under its largest
+    index M (the index of its last variable, as variables are sorted);
+    psi_m is the sum of the files for M <= m."""
+    if cutoff < 1:
         raise ValueError("m must be >= 1")
-    if F.m < m:
-        raise ValueError(f"truncation cutoff {F.m} is below m = {m}")
-    out = MPoly.zero()
+    if F.m < cutoff:
+        raise ValueError(f"truncation cutoff {F.m} is below m = {cutoff}")
+    files: list[dict[Monomial, int]] = [{} for _ in range(cutoff)]
     for mono, coeff in F.poly.coeffs.items():
+        top = mono[-1][0][1] if mono else 1
+        if top > cutoff:
+            continue
         x_exp = 0
         p_exps: dict[int, int] = {}
-        dead = False
-        for var, exp in mono:
-            _, index, colour = var
-            if index > m or (index == 1 and colour >= 1):
-                dead = True
+        for (_, index, colour), exp in mono:
+            if index == 1 and colour >= 1:
                 break
             x_exp += (index - 1) * exp
             p_exps[colour] = p_exps.get(colour, 0) + exp
-        if dead:
-            continue
-        target = monomial(*[(p_var(c), e) for c, e in p_exps.items()],
-                          (X_VAR, x_exp))
-        out = out + MPoly.term(target, coeff)
+        else:
+            target = monomial(*[(p_var(c), e) for c, e in p_exps.items()],
+                              (X_VAR, x_exp))
+            file = files[top - 1]
+            file[target] = file.get(target, 0) + coeff
+    out = []
+    running: dict[Monomial, int] = {}
+    for file in files:
+        for mono, coeff in file.items():
+            running[mono] = running.get(mono, 0) + coeff
+        out.append(MPoly(running))
     return out
+
+
+def psi_m(F: TruncatedQSym, m: int) -> MPoly:
+    """The specialisation psi_m of a truncated expansion with F.m >= m."""
+    return psi_series(F, m)[-1]
 
 
 def psi_closed_form_check(a: ColouredPermutation, t_order: int) -> bool:
@@ -160,8 +190,7 @@ def psi_closed_form_check(a: ColouredPermutation, t_order: int) -> bool:
     p^col x^comaj t^des / ((1-t)(1-xt)...(1-x^n t)) through t^t_order."""
     st = stat_triple(a)
     cutoff = t_order + 1
-    F = expand_F(a, cutoff)
-    lhs = [psi_m(F, m) for m in range(1, cutoff + 1)]
+    lhs = psi_series(expand_F(a, cutoff), cutoff)
     numerator = MPoly.term(monomial(*[(p_var(c), k) for c, k in st.col],
                                     (X_VAR, st.comaj)))
     closed = HImage(numerator, st.des, tuple(range(len(a) + 1)))

@@ -4,11 +4,13 @@ Each suite returns a JSON-ready report dict with the fields ``suite``,
 ``cases`` (number of instances checked) and ``failures`` (a list, empty on
 success).  The CLI exposes them behind the ``verify`` subcommand; the test
 suite drives them directly at the documented acceptance bounds.  A bound
-out of range raises ``BadParameters`` before any case runs.
+out of range, or one past ``MAX_SUITE_SIZE``, raises ``BadParameters``
+before any case runs.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from .configurations import (ColouredConfiguration, Label,
@@ -31,6 +33,7 @@ __all__ = [
     "catalog_suite",
     "run_suite",
     "SUITES",
+    "MAX_SUITE_SIZE",
 ]
 
 
@@ -43,6 +46,33 @@ def _check_bounds(**bounds: int) -> None:
         minimum = 1 if name in _POSITIVE else 0
         if value < minimum:
             raise BadParameters(f"{name} must be >= {minimum}, got {value}")
+
+
+# The exhaustive psi and qsym suites enumerate every coloured permutation of
+# length <= max_len (every pair of them for qsym), and expand F for up to n
+# letters at index cutoff m in up to C(m+n-1, n) monomials, over m indices.
+# Both counts are capped here; the acceptance bounds need 2,128 words and
+# 495 monomials (psi), and 484 pairs and 35 monomials (qsym).
+MAX_SUITE_SIZE = 1_000_000
+
+
+def _check_suite_size(max_len: int, colours: int, *, pairs: bool,
+                      letters: int, cutoff: int) -> None:
+    """Raise ``BadParameters`` when the words (or pairs of words) a suite
+    enumerates, or its largest expansion, exceed ``MAX_SUITE_SIZE``."""
+    words = term = 1
+    for n in range(1, max_len + 1):
+        term *= n * colours
+        words += term
+        if (words * words if pairs else words) > MAX_SUITE_SIZE:
+            raise BadParameters(
+                f"max_len {max_len} with {colours} colours enumerates more "
+                f"than {MAX_SUITE_SIZE} {'word pairs' if pairs else 'words'}")
+    monomials = max(math.comb(cutoff + letters - 1, letters), cutoff)
+    if monomials > MAX_SUITE_SIZE:
+        raise BadParameters(
+            f"index cutoff {cutoff} with {letters} letters exceeds the cap "
+            f"of {MAX_SUITE_SIZE} on the expansion size")
 
 
 def _random_config(rng: random.Random, symbols: list[int], colours: list[int],
@@ -113,15 +143,18 @@ def qsym_suite(max_len: int = 2, cutoff: int = 4, colours: int = 3) -> dict:
     """Exhaustive product rule for fundamental expansions: F_a * F_b equals
     the sum of F_c over shuffles, for all disjoint pairs up to the bounds."""
     _check_bounds(max_len=max_len, cutoff=cutoff, colours=colours)
+    _check_suite_size(max_len, colours, pairs=True, letters=2 * max_len,
+                      cutoff=cutoff)
     cases = 0
     failures = []
+    expansions: dict = {}
     for n in range(0, max_len + 1):
         for m in range(0, max_len + 1):
             for a in all_coloured_permutations(n, colours):
                 for b in all_coloured_permutations(m, colours,
                                                    first_symbol=n + 1):
                     cases += 1
-                    if not verify_product_rule(a, b, cutoff):
+                    if not verify_product_rule(a, b, cutoff, expansions):
                         failures.append({"a": str(a), "b": str(b)})
     return {"suite": "qsym", "cases": cases, "cutoff": cutoff,
             "failures": failures}
@@ -131,6 +164,8 @@ def psi_suite(max_len: int = 4, t_order: int = 8, colours: int = 3) -> dict:
     """Exhaustive check of the specialisation closed form, one permutation
     per coloured-descent-set class."""
     _check_bounds(max_len=max_len, t_order=t_order, colours=colours)
+    _check_suite_size(max_len, colours, pairs=False, letters=max_len,
+                      cutoff=t_order + 1)
     cases = 0
     failures = []
     for n in range(0, max_len + 1):

@@ -194,6 +194,11 @@ def test_w_command(config_files, capsys):
     ["w", "LEFT", "--order", "-1"],
     ["hadamard", "LEFT", "RIGHT", "--verify", "-1"],
     ["verify", "compat", "--max-total-len", "9", "--colours", "5"],
+    ["verify", "psi", "--max-len", "9", "--colours", "5"],
+    ["verify", "qsym", "--max-len", "5", "--colours", "3"],
+    ["verify", "psi", "--t-order", "100000"],
+    ["verify", "qsym", "--cutoff", "1000"],
+    ["verify", "psi", "--max-len", "0", "--t-order", "2000000"],
 ])
 def test_out_of_range_bounds_are_usage_errors(argv, config_files, capsys):
     left, right = config_files
@@ -203,6 +208,23 @@ def test_out_of_range_bounds_are_usage_errors(argv, config_files, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_hadamard_over_the_shuffle_cap(tmp_path, capsys):
+    # 3 x 3 term pairs of length 10: 9 * C(20, 10) = 1,662,804 words
+    paths = []
+    for side, first in (("left", 1), ("right", 11)):
+        symbols = list(range(first, first + 10))
+        terms = [symbols[k:] + symbols[:k] for k in range(3)]
+        path = tmp_path / f"{side}.txt"
+        path.write_text("".join(
+            "1 * " + " ".join(map(str, term)) + "\n" for term in terms))
+        paths.append(str(path))
+    code, out, err = run(capsys, "hadamard", *paths)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1662804" in err
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -3,8 +3,8 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from colshuffle import (ColouredConfiguration, Label, LabelledConfiguration,
-                        NotCoherent, ParseError, SignedMonomial, SymbolOverlap,
+from colshuffle import (BadParameters, ColouredConfiguration, Label,
+                        LabelledConfiguration, NotCoherent, ParseError, SignedMonomial, SymbolOverlap,
                         canonicalize, check_coherence, config_shuffle,
                         evaluate_label, make_strongly_disjoint, merge_labels,
                         parse_labelled_configuration, parse_permutation,
@@ -105,6 +105,19 @@ def test_config_shuffle_unit_and_counts():
 def test_config_shuffle_symbol_overlap():
     with pytest.raises(SymbolOverlap):
         config_shuffle(config_of("1^0"), config_of("1^1"))
+
+
+def test_config_shuffle_word_cap():
+    # term pairs, not multiplicities, count: 2 * 3 * C(20, 10) + 3 * C(10, 0)
+    def word(*symbols):
+        return " ".join(map(str, symbols))
+
+    f = ColouredConfiguration([(P(word(*range(1, 11))), 5),
+                               (P(word(*range(10, 0, -1))), 1), (P(""), 1)])
+    g = config_of(word(*range(11, 21)), word(*range(20, 10, -1)),
+                  word(12, 11, *range(13, 21)))
+    with pytest.raises(BadParameters, match="1108539 words"):
+        config_shuffle(f, g)
 
 
 @given(labelled_configurations(range(1, 7)), labelled_configurations(range(11, 17)),

@@ -1,13 +1,16 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import colshuffle.qsym as qsym
 from colshuffle import (ColourOutOfRange, MPoly, SymbolOverlap, expand_F,
                         parse_permutation, psi_closed_form_check, psi_m,
-                        s_des, verify_product_rule)
+                        psi_series, s_des, shuffles, verify_product_rule)
 from colshuffle.mpoly import monomial
 from colshuffle.qsym import qvar
 from colshuffle.shuffle_algebra import X_VAR, p_var
-from colshuffle.permutations import all_coloured_permutations, descent_set
+from colshuffle.permutations import (all_coloured_permutations, descent_set,
+                                     s_des_raw)
+from colshuffle.verify import qsym_suite
 from conftest import coloured_permutations
 
 P = parse_permutation
@@ -52,6 +55,32 @@ def psi_by_direct_enumeration(a, m):
 
     start = 2 if 0 in des else 1
     rec(0, start, 0)
+    return out
+
+
+def psi_m_reference(F, m):
+    """One specialisation on its own: a scan of all of F per m."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if F.m < m:
+        raise ValueError(f"truncation cutoff {F.m} is below m = {m}")
+    out = MPoly.zero()
+    for mono, coeff in F.poly.coeffs.items():
+        x_exp = 0
+        p_exps = {}
+        dead = False
+        for var, exp in mono:
+            _, index, colour = var
+            if index > m or (index == 1 and colour >= 1):
+                dead = True
+                break
+            x_exp += (index - 1) * exp
+            p_exps[colour] = p_exps.get(colour, 0) + exp
+        if dead:
+            continue
+        target = monomial(*[(p_var(c), e) for c, e in p_exps.items()],
+                          (X_VAR, x_exp))
+        out = out + MPoly.term(target, coeff)
     return out
 
 
@@ -116,6 +145,44 @@ def test_product_rule_random_pairs(a, b):
     assert verify_product_rule(a, b, 4)
 
 
+def test_qsym_suite_expands_each_class_once(monkeypatch):
+    calls = []
+
+    def counted(a, m, r=None):
+        calls.append((s_des(a), m))
+        return expand_F(a, m, r)
+
+    monkeypatch.setattr(qsym, "expand_F", counted)
+    report = qsym_suite(max_len=2, cutoff=3, colours=2)
+    assert report["failures"] == []
+    assert len(calls) == len(set(calls)) == 81
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(
+    coloured_permutations(max_len=2, max_colour=2, symbol_pool=4),
+    coloured_permutations(max_len=2, max_colour=2, symbol_pool=4),
+    st.integers(1, 3)), min_size=1, max_size=4))
+def test_product_rule_shared_expansions(cases):
+    expansions = {}
+    for a, b, m in cases:
+        b = b.relabel({s: s + 10 for s in b.symbols()})
+        assert (verify_product_rule(a, b, m, expansions)
+                == verify_product_rule(a, b, m))
+        for c in [a, b, *shuffles(a, b)]:
+            assert expansions[(s_des_raw(c.entries), m)] == \
+                expand_F(c, m).poly
+
+
+def test_qsym_suite_catches_a_dropped_shuffle(monkeypatch):
+    monkeypatch.setattr(qsym, "shuffles", lambda a, b: shuffles(a, b)[1:])
+    report = qsym_suite(max_len=2, cutoff=3, colours=2)
+    # every pair fails but one: the first shuffle of 2 1 and 4^1 3^1 rises
+    # strictly three times, so it has no monomial at cutoff 3
+    assert len(report["failures"]) == report["cases"] - 1 == 120
+    assert {"a": "2^0 1^0", "b": "4^1 3^1"} not in report["failures"]
+
+
 # -- the specialisations -----------------------------------------------------------
 
 def test_psi_boundary_cases():
@@ -128,6 +195,21 @@ def test_psi_boundary_cases():
 def test_psi_requires_cutoff():
     with pytest.raises(ValueError):
         psi_m(expand_F(P("1"), 2), 3)
+    F = expand_F(P("1 2^1"), 2)
+    for cutoff in (0, 3):
+        with pytest.raises(ValueError):
+            psi_series(F, cutoff)
+    # a truncation beyond the cutoff specialises the same way
+    assert psi_series(expand_F(P("1 2^1"), 4), 2) == psi_series(F, 2)
+
+
+@given(coloured_permutations(max_len=3, max_colour=2), st.integers(1, 5))
+@example(P(""), 3)
+@example(P("2^1 1 3^2"), 4)
+def test_psi_series_matches_per_m_reference(a, k):
+    F = expand_F(a, k)
+    assert psi_series(F, k) == [psi_m_reference(F, m)
+                                for m in range(1, k + 1)]
 
 
 @given(coloured_permutations(max_len=3, max_colour=2), st.integers(1, 4))
