@@ -13,11 +13,14 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
+from itertools import repeat
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import BadParameters, NotCoherent, ParseError, SymbolOverlap
-from .permutations import ColouredPermutation, parse_permutation, shuffles
+from .permutations import (ColouredPermutation, interleavings,
+                           parse_permutation, shuffles)
 
 __all__ = [
     "SignedMonomial",
@@ -163,6 +166,14 @@ class ColouredConfiguration:
         ordered = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
         object.__setattr__(self, "terms", ordered)
 
+    @classmethod
+    def _normal(cls, terms: tuple[tuple[ColouredPermutation, int], ...]
+                ) -> "ColouredConfiguration":
+        # fast constructor for terms already distinct, positive and sorted
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("ColouredConfiguration is immutable")
 
@@ -235,13 +246,48 @@ def config_shuffle(f: ColouredConfiguration,
         raise BadParameters(
             f"the shuffle has {words} words, over the cap of "
             f"{MAX_SHUFFLE_WORDS}")
-    terms = []
+    # Restricting a shuffle of a and b to the symbols of f gives back a, so
+    # the words are pairwise distinct over all term pairs and already in
+    # normal form once sorted.  An entry is coded by its rank in the colour
+    # order, as fixed-width big-endian bytes; a word's sort key is its
+    # length's code followed by its entries' codes, so sorting compares
+    # bytes.  Each word and its key are picked out of a + b and its codes
+    # by one itemgetter per position pattern.
+    ranked = sorted({e for h in (f, g) for p, _ in h.terms for e in p})
+    width = max(1, (max(len(ranked), f.max_length() + g.max_length())
+                    .bit_length() + 7) // 8)
+    code = {e: r.to_bytes(width, "big") for r, e in enumerate(ranked)}
+    join = b"".join
+    getters: dict[tuple[int, int], tuple[list, list]] = {}
+    keys: list[bytes] = []
+    terms: list[tuple[ColouredPermutation, int]] = []
     for a, fa in f.terms:
         for b, gb in g.terms:
-            mult = fa * gb
-            for c in shuffles(a, b):
-                terms.append((c, mult))
-    return ColouredConfiguration(terms)
+            n, m = len(a), len(b)
+            if (n, m) not in getters:
+                getters[n, m] = _shuffle_getters(n, m)
+            word_getters, key_getters = getters[n, m]
+            ab = a.entries + b.entries
+            codes = ((n + m).to_bytes(width, "big"), *map(code.__getitem__, ab))
+            keys += [join(get(codes)) for get in key_getters]
+            terms += zip(ColouredPermutation._raw_many(
+                [get(ab) for get in word_getters]), repeat(fa * gb))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return ColouredConfiguration._normal(tuple(map(terms.__getitem__, order)))
+
+
+def _shuffle_getters(n: int, m: int) -> tuple[list, list]:
+    """Itemgetters taking the concatenation of an n-word and an m-word to its
+    shuffles, in the order of ``shuffles``: one list on the entries, one on
+    the length followed by the entries."""
+    if n + m < 2:
+        # the one shuffle is the concatenation itself; an itemgetter of
+        # fewer than two indices would not return a tuple
+        return [tuple], [tuple]
+    patterns = interleavings(tuple((i,) for i in range(n)),
+                             tuple((i,) for i in range(n, n + m)))
+    return ([itemgetter(*pattern) for pattern in patterns],
+            [itemgetter(0, *[i + 1 for i in pattern]) for pattern in patterns])
 
 
 class LabelledConfiguration:

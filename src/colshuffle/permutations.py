@@ -22,6 +22,8 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from collections import deque
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, SymbolOverlap
@@ -38,6 +40,7 @@ __all__ = [
     "s_des",
     "s_des_raw",
     "descent_data",
+    "interleavings",
     "shuffles",
     "canonical_statistics_class",
     "parse_permutation",
@@ -154,6 +157,14 @@ class ColouredPermutation:
         self = object.__new__(cls)
         object.__setattr__(self, "entries", entries)
         return self
+
+    @classmethod
+    def _raw_many(cls, words: list[tuple[ColouredInteger, ...]]
+                  ) -> list["ColouredPermutation"]:
+        # _raw over a list of entry tuples, with the loops in C
+        perms = list(map(object.__new__, repeat(cls, len(words))))
+        deque(map(cls.entries.__set__, perms, words), maxlen=0)
+        return perms
 
     def __setattr__(self, name, value):
         raise AttributeError("ColouredPermutation is immutable")
@@ -331,6 +342,28 @@ def descent_data(A: ColouredDescentSet) -> tuple[frozenset[int], tuple[int, ...]
     return frozenset(des), tuple(colours)
 
 
+def interleavings(xs: tuple, ys: tuple) -> list[tuple]:
+    """Every merge of the block sequences xs and ys keeping the order of each.
+
+    xs and ys are sequences of tuples; each merge is returned as the flat
+    concatenation of its blocks.  The order is lexicographic in the set of
+    positions occupied by blocks of xs, so two calls with sequences of the
+    same lengths list corresponding merges at the same index.
+    """
+    n, m = len(xs), len(ys)
+    # row[j] lists the merges of xs[i:] and ys[j:], i running down from n:
+    # those starting with xs[i] come before those starting with ys[j]
+    row = [[sum(ys[j:], ())] for j in range(m + 1)]
+    for i in range(n - 1, -1, -1):
+        x = xs[i]
+        new = [None] * m + [[sum(xs[i:], ())]]
+        for j in range(m - 1, -1, -1):
+            y = ys[j]
+            new[j] = [x + w for w in row[j]] + [y + w for w in new[j + 1]]
+        row = new
+    return row[0]
+
+
 def shuffles(a: ColouredPermutation, b: ColouredPermutation) -> list[ColouredPermutation]:
     """All interleavings of a and b preserving both relative orders.
 
@@ -340,20 +373,9 @@ def shuffles(a: ColouredPermutation, b: ColouredPermutation) -> list[ColouredPer
     sa, sb = a.symbols(), b.symbols()
     if sa & sb:
         raise SymbolOverlap(f"shared symbols: {sorted(sa & sb)}")
-    ea, eb = a.entries, b.entries
-    n, m = len(ea), len(eb)
-    total = n + m
-    out = []
-    for pattern in itertools.combinations(range(total), n):
-        word: list = [None] * total
-        for ent, p in zip(ea, pattern):
-            word[p] = ent
-        it = iter(eb)
-        for p in range(total):
-            if word[p] is None:
-                word[p] = next(it)
-        out.append(ColouredPermutation._raw(tuple(word)))
-    return out
+    words = interleavings(tuple((e,) for e in a.entries),
+                          tuple((e,) for e in b.entries))
+    return ColouredPermutation._raw_many(words)
 
 
 def canonical_statistics_class(a: ColouredPermutation) -> tuple[int, StatTriple]:

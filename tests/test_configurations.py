@@ -8,7 +8,7 @@ from colshuffle import (BadParameters, ColouredConfiguration, Label,
                         canonicalize, check_coherence, config_shuffle,
                         evaluate_label, make_strongly_disjoint, merge_labels,
                         parse_labelled_configuration, parse_permutation,
-                        stat_triple)
+                        shuffles, stat_triple)
 from conftest import coloured_permutations
 
 P = parse_permutation
@@ -129,6 +129,14 @@ def test_config_shuffle_commutative_associative(x, y, z):
             == config_shuffle(f, config_shuffle(g, h)))
     assert (config_shuffle(f, g).palette_star()
             == f.palette_star() | g.palette_star())
+
+
+@given(labelled_configurations(range(1, 7)), labelled_configurations(range(11, 17)))
+def test_config_shuffle_is_the_normal_form_of_its_words(x, y):
+    f, g = x.config, y.config
+    words = ColouredConfiguration((c, fa * gb) for a, fa in f.terms
+                                  for b, gb in g.terms for c in shuffles(a, b))
+    assert config_shuffle(f, g).terms == words.terms
 
 
 # -- canonical forms ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -168,6 +169,18 @@ def test_shuffle_counts_and_supports(a, b):
     for c in result:
         sub_a = [e for e in c.entries if e.symbol in a.symbols()]
         assert tuple(sub_a) == a.entries
+
+
+@given(coloured_permutations(max_len=4, symbol_pool=6),
+       coloured_permutations(max_len=4, symbol_pool=6))
+def test_shuffle_order_is_lexicographic_in_positions_of_a(a, b):
+    b = b.relabel({s: s + 10 for s in b.symbols()})
+    expected = []
+    for positions in itertools.combinations(range(len(a) + len(b)), len(a)):
+        from_a, from_b = iter(a.entries), iter(b.entries)
+        expected.append(tuple(next(from_a) if p in positions else next(from_b)
+                              for p in range(len(a) + len(b))))
+    assert [c.entries for c in shuffles(a, b)] == expected
 
 
 # -- statistic classes --------------------------------------------------------
