@@ -1,0 +1,67 @@
+"""Scaling of the series kernel: time and size of hadamard_mde at k blocks.
+
+Prints one row per block count k in 10, 12, 20, 30, ... up to --max-blocks:
+the wall time of ``hadamard_mde([(2, 1)] * k)``, which is the Hadamard
+product of k copies of the ``mat 2 1`` closed form, and the number of terms
+of its numerator.  For k <= 12 the result is also checked against the
+series oracle, the coefficientwise product of the blocks' expansions to
+order 2k + 1, which determines the closed form; the script exits 1 on a
+mismatch.  Stdlib only; run from a checkout:
+
+    python3 scripts/kernel_scaling.py --max-blocks 40
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from colshuffle import build_entry, expand, hadamard_mde  # noqa: E402
+
+ORACLE_MAX_BLOCKS = 12
+
+
+def block_counts(max_blocks: int) -> list[int]:
+    return [k for k in (10, 12, *range(20, max_blocks + 1, 10))
+            if k <= max_blocks]
+
+
+def oracle_agrees(result, k: int) -> bool:
+    order = 2 * k + 1
+    block = expand(build_entry("mat", d=2, e=1).closed_form, order)
+    product = block
+    for _ in range(k - 1):
+        product = product.hadamard(block)
+    return expand(result, order) == product
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-blocks", type=int, default=60,
+                        help="largest block count (default 60)")
+    args = parser.parse_args(argv)
+    if args.max_blocks < 10:
+        parser.error("--max-blocks must be at least 10")
+    ok = True
+    print(f"{'blocks':>6}  {'seconds':>8}  {'numerator terms':>15}  oracle")
+    for k in block_counts(args.max_blocks):
+        start = time.perf_counter()
+        result = hadamard_mde([(2, 1)] * k)
+        elapsed = time.perf_counter() - start
+        terms = sum(len(lp.coeffs) for lp in result.numerator.values())
+        if k <= ORACLE_MAX_BLOCKS:
+            agrees = oracle_agrees(result, k)
+            ok = ok and agrees
+            verdict = "ok" if agrees else "MISMATCH"
+        else:
+            verdict = "-"
+        print(f"{k:>6}  {elapsed:>8.3f}  {terms:>15}  {verdict}", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -182,7 +183,9 @@ def _add_format(parser) -> None:
                         default="text")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse gets a new namespace."""
     parser = argparse.ArgumentParser(
         prog="colshuffle",
         description="Closed-form Hadamard products of rational generating "
@@ -258,8 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ColshuffleError as exc:

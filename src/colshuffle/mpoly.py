@@ -9,6 +9,9 @@ variables are identified by hashable tuple keys, e.g. ``("x",)``,
 constant monomial.  ``ratfun.LaurentPoly`` reuses the same arithmetic with
 integer exponents of X as keys.
 
+A list of polynomials is a series in t; ``multiply_by_factors`` and its
+inverse ``divide_by_factors`` apply factors 1 - c*m*t one at a time.
+
 Coefficients are stored as they come: integral ones are plain ``int`` and a
 ``Fraction`` appears only where arithmetic makes a non-integral rational.
 Since ``int`` and ``Fraction`` compare and hash alike, the representation
@@ -144,15 +147,26 @@ class MPoly:
         return " + ".join(fmt(m, c) for m, c in sorted(self.coeffs.items()))
 
 
+def multiply_by_factors(coeffs: Sequence[MPoly],
+                        factors: Iterable[tuple[Coeff, Hashable]]) -> list[MPoly]:
+    """The inverse of ``divide_by_factors``: b_k = a_k - c*m*a_{k-1} per
+    factor, from the top down so that a_{k-1} is read before it changes."""
+    coeffs = list(coeffs)
+    for c, key in factors:
+        for k in range(len(coeffs) - 1, 0, -1):
+            coeffs[k] = coeffs[k] + coeffs[k - 1].mul_monomial(key, -c)
+    return coeffs
+
+
 def divide_by_factors(coeffs: Sequence[MPoly],
-                      factors: Iterable[tuple[Hashable, Coeff]]) -> list[MPoly]:
+                      factors: Iterable[tuple[Coeff, Hashable]]) -> list[MPoly]:
     """Divide the truncated series coeffs[0] + coeffs[1]*t + ... by each
-    factor 1 - c*m*t, given as (key of m, c), through the same order.
+    factor 1 - c*m*t, given as (c, key of m), through the same order.
 
     Division by one factor is the recurrence b_k = a_k + c*m*b_{k-1}.
     """
     coeffs = list(coeffs)
-    for key, c in factors:
+    for c, key in factors:
         prev = coeffs[0]
         for k in range(1, len(coeffs)):
             prev = coeffs[k] + prev.mul_monomial(key, c)

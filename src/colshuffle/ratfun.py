@@ -17,7 +17,10 @@ exponent ``eps`` the rational series summing, over the support, the terms
     (1 - Y)(1 - X^eps Y) ... (1 - X^(eps*|a|) Y)
 
 brought over the common denominator of the longest support element.
-``hadamard`` is the one closed form of Hadamard products of W's.
+``hadamard`` is the one closed form of Hadamard products of W's.  Every
+product by denominator factors, there and in ``w_of``, ``equal`` and
+``RationalGF.from_factors``, runs one factor at a time through
+``mpoly.multiply_by_factors``, the inverse of the division in ``expand``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 from .configurations import (LabelledConfiguration, SignedMonomial,
                              evaluate_label)
 from .errors import BadParameters, OrderMismatch, ZeroSubstitution
-from .mpoly import Coeff, MPoly, divide_by_factors
+from .mpoly import Coeff, MPoly, divide_by_factors, multiply_by_factors
 from .permutations import stat_triple_raw
 
 __all__ = [
@@ -98,38 +101,15 @@ class LaurentPoly(MPoly):
         return text
 
 
-# -- Y-polynomials with LaurentPoly coefficients (numerators) --------------
-
-YPoly = dict  # ydegree -> LaurentPoly
-
-
-def _ypoly_normal(p: YPoly) -> YPoly:
-    return {k: v for k, v in p.items() if not v.is_zero()}
-
-
-def _ypoly_add(a: YPoly, b: YPoly) -> YPoly:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, LaurentPoly.zero()) + v
-    return _ypoly_normal(out)
-
-
-def _ypoly_mul(a: YPoly, b: YPoly) -> YPoly:
-    out: YPoly = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = k1 + k2
-            out[k] = out.get(k, LaurentPoly.zero()) + v1 * v2
-    return _ypoly_normal(out)
-
-
-def _ypoly_from_factors(factors: Iterable[Factor]) -> YPoly:
-    """Expand a product of factors 1 - c*X^a*Y into a Y-polynomial."""
-    out: YPoly = {0: LaurentPoly.one()}
-    for c, a in factors:
-        out = _ypoly_mul(out, {0: LaurentPoly.one(),
-                               1: LaurentPoly.monomial(-c, a)})
-    return out
+def _times_factors(p: Mapping[int, LaurentPoly],
+                   factors: Iterable[Factor]) -> dict[int, LaurentPoly]:
+    """p * prod(1 - c*X^a*Y), exactly; Y-degrees of p may be negative."""
+    factors = list(factors)
+    low = min(p, default=0)
+    coeffs = [p.get(k + low, LaurentPoly.zero())
+              for k in range(max(p, default=0) - low + len(factors) + 1)]
+    return {k + low: v for k, v in
+            enumerate(multiply_by_factors(coeffs, factors)) if v}
 
 
 class SeriesY:
@@ -165,17 +145,6 @@ class SeriesY:
             raise OrderMismatch(f"orders {self.order} != {other.order}")
         return SeriesY([a * b for a, b in
                         zip(self.coefficients, other.coefficients)])
-
-    def cauchy_mul(self, poly: YPoly) -> "SeriesY":
-        """Multiply by a Y-polynomial, truncating to the same order."""
-        n = self.order
-        out = [LaurentPoly.zero() for _ in range(n + 1)]
-        for k, lp in poly.items():
-            for j, c in enumerate(self.coefficients):
-                if j + k > n:
-                    break
-                out[j + k] = out[j + k] + c * lp
-        return SeriesY(out)
 
     def scale_y_monomial(self, coeff: Coeff, exponent: int) -> "SeriesY":
         """Substitute Y <- (coeff*X^exponent) * Y."""
@@ -215,7 +184,8 @@ class RationalGF:
     def from_factors(cls, num_factors: Iterable[Factor],
                      den_factors: Iterable[Factor]) -> "RationalGF":
         """Build prod(1 - c*X^a*Y) / prod(1 - c'*X^a'*Y)."""
-        return cls(_ypoly_from_factors(num_factors), den_factors)
+        return cls(_times_factors({0: LaurentPoly.one()}, num_factors),
+                   den_factors)
 
     @classmethod
     def geometric(cls) -> "RationalGF":
@@ -353,17 +323,15 @@ def expand(r: RationalGF, order: int = DEFAULT_ORDER) -> SeriesY:
         raise BadParameters(f"cannot expand the negative Y-degree "
                             f"{min(r.numerator)} as a power series")
     coeffs = [r.numerator.get(k, LaurentPoly.zero()) for k in range(order + 1)]
-    factors = [(a, c) for c, a in r.denominator]
-    return SeriesY(divide_by_factors(coeffs, factors))
+    return SeriesY(divide_by_factors(coeffs, r.denominator))
 
 
 def equal(a: RationalGF, b: RationalGF) -> bool:
     """Semantic equality: numer(a)*denom(b) == numer(b)*denom(a)."""
     if a.denominator == b.denominator:
         return a.numerator == b.numerator
-    left = _ypoly_mul(a.numerator, _ypoly_from_factors(b.denominator))
-    right = _ypoly_mul(b.numerator, _ypoly_from_factors(a.denominator))
-    return left == right
+    return (_times_factors(a.numerator, b.denominator)
+            == _times_factors(b.numerator, a.denominator))
 
 
 def scale_y(r: RationalGF, sm: SignedMonomial) -> RationalGF:
@@ -401,9 +369,10 @@ def w_of(lc: LabelledConfiguration, eps: int) -> RationalGF:
     """The rational generating function of a labelled configuration.
 
     Coefficients are summed as integers per (length, des, X-exponent), and
-    each length's rows are multiplied once by the cofactor that brings them
-    over the common denominator.  The zero configuration gives 0; the
-    configuration consisting of the empty permutation alone gives 1/(1-Y).
+    the rows of each length are brought over the common denominator by the
+    factors of the longer lengths, in one Horner pass over the factors.
+    The zero configuration gives 0; the configuration consisting of the
+    empty permutation alone gives 1/(1-Y).
     """
     rows: dict[int, dict[int, dict[int, int]]] = {}
     for perm, mult in lc.config.terms:
@@ -415,15 +384,12 @@ def w_of(lc: LabelledConfiguration, eps: int) -> RationalGF:
     if not rows:
         return RationalGF.zero()
     denominator = _w_denominator(eps, max(rows))
-    numerator: YPoly = {}
-    for length, by_des in rows.items():
-        term: YPoly = {des: LaurentPoly(by_exp)
-                       for des, by_exp in by_des.items()}
-        cofactor = denominator[length + 1:]
-        if cofactor:
-            term = _ypoly_mul(term, _ypoly_from_factors(cofactor))
-        numerator = _ypoly_add(numerator, term)
-    return RationalGF(numerator, denominator)
+    numerator = [LaurentPoly.zero()] * len(denominator)
+    for length, factor in enumerate(denominator):
+        numerator = multiply_by_factors(numerator, [factor])
+        for des, by_exp in rows.get(length, {}).items():
+            numerator[des] = numerator[des] + LaurentPoly(by_exp)
+    return RationalGF(dict(enumerate(numerator)), denominator)
 
 
 def _w_length(r: RationalGF, eps: int) -> int | None:
@@ -442,8 +408,9 @@ def hadamard(rgfs: Sequence[RationalGF], eps: int) -> RationalGF:
 
     By the shuffle theorem, W's of max lengths n_1, ..., n_k multiply to the
     W denominator of N = n_1 + ... + n_k over a numerator of Y-degree <= N:
-    the product series through Y^N times that denominator.  No operands give
-    1/(1-Y), a zero operand 0, and a non-W denominator ``ValueError``.
+    the product series through Y^N times that denominator, multiplied in one
+    factor at a time and truncated at Y^N.  No operands give 1/(1-Y), a
+    zero operand 0, and a non-W denominator ``ValueError``.
     """
     lengths = [_w_length(r, eps) for r in rgfs]
     if None in lengths:
@@ -453,5 +420,5 @@ def hadamard(rgfs: Sequence[RationalGF], eps: int) -> RationalGF:
     for r in rgfs:
         series = series.hadamard(expand(r, n))
     denominator = _w_denominator(eps, n)
-    numerator = series.cauchy_mul(_ypoly_from_factors(denominator))
-    return RationalGF(dict(enumerate(numerator.coefficients)), denominator)
+    numerator = multiply_by_factors(series.coefficients, denominator)
+    return RationalGF(dict(enumerate(numerator)), denominator)

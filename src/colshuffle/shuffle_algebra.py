@@ -127,7 +127,7 @@ class HImage:
         if self.t_power <= order:
             coeffs[self.t_power] = self.numerator
         return divide_by_factors(
-            coeffs, [(monomial((X_VAR, i)), 1) for i in self.denom_powers])
+            coeffs, [(1, monomial((X_VAR, i))) for i in self.denom_powers])
 
     def leading_term(self) -> tuple[int, MPoly]:
         """The lowest t-degree and its coefficient (numerator itself)."""

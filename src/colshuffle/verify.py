@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 
-from .configurations import (ColouredConfiguration, Label,
+from .configurations import (MAX_SHUFFLE_WORDS, ColouredConfiguration, Label,
                              LabelledConfiguration, SignedMonomial)
 from .errors import BadParameters, UnknownSuite
 from .permutations import (ColouredPermutation, all_coloured_permutations,
@@ -75,6 +75,9 @@ def _check_suite_size(max_len: int, colours: int, *, pairs: bool,
             f"of {MAX_SUITE_SIZE} on the expansion size")
 
 
+_POOL = 6  # symbols each operand of random_coherent_pair draws from
+
+
 def _random_config(rng: random.Random, symbols: list[int], colours: list[int],
                    max_support: int, max_len: int) -> ColouredConfiguration:
     terms = []
@@ -92,9 +95,9 @@ def random_coherent_pair(rng: random.Random, max_support: int = 3,
     """A random coherent pair: symbol-disjoint configurations that may
     share nonzero colours, with labels agreeing on the shared ones."""
     colours = list(range(0, 4))
-    lhs_config = _random_config(rng, list(range(1, 7)), colours,
+    lhs_config = _random_config(rng, list(range(1, _POOL + 1)), colours,
                                 max_support, max_len)
-    rhs_config = _random_config(rng, list(range(11, 17)), colours,
+    rhs_config = _random_config(rng, list(range(11, 11 + _POOL)), colours,
                                 max_support, max_len)
 
     def random_monomial() -> SignedMonomial:
@@ -118,9 +121,19 @@ def theorem_suite(trials: int = 200, order: int = 10, seed: int = 0,
     """Random coherent pairs: the closed form of the shuffled configuration
     must match the coefficientwise product of the expanded series, and the
     series kernel (``hadamard_general``) must give that closed form
-    structurally.  A failure names the check that failed."""
+    structurally.  A failure names the check that failed.  ``max_len`` is at
+    most the symbol pool, and ``max_support`` terms a side at that length
+    may shuffle to at most ``MAX_SHUFFLE_WORDS`` words."""
     _check_bounds(trials=trials, order=order, max_support=max_support,
                   max_len=max_len, exp_range=exp_range)
+    if max_len > _POOL:
+        raise BadParameters(f"max_len {max_len} is above the {_POOL} symbols "
+                            f"each random operand draws from")
+    words = max_support ** 2 * math.comb(2 * max_len, max_len)
+    if words > MAX_SHUFFLE_WORDS:
+        raise BadParameters(
+            f"max_support {max_support} at max_len {max_len} may shuffle "
+            f"{words} words, over the cap of {MAX_SHUFFLE_WORDS}")
     rng = random.Random(seed)
     failures = []
     for case in range(trials):

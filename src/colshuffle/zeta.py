@@ -31,7 +31,7 @@ series kernel ``ratfun.hadamard`` from the one-block closed forms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, prod
 from typing import Iterable, Sequence
 
@@ -60,7 +60,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ZetaEntry:
-    """One catalog row: builder data plus the cross-checked closed form."""
+    """One catalog row: builder data, the cross-checked closed form and the
+    unshifted generating function ``w`` that the check computed."""
 
     family: str
     params: tuple[tuple[str, int], ...]
@@ -69,10 +70,11 @@ class ZetaEntry:
     shift: SignedMonomial
     closed_form: RationalGF
     conditions: tuple[str, ...]
+    w: RationalGF = field(compare=False, repr=False)
 
     def w_raw(self) -> RationalGF:
         """The unshifted generating function of the configuration."""
-        return w_of(self.lc, self.eps)
+        return self.w
 
     def to_json_obj(self) -> dict:
         obj = self.closed_form.to_json_obj()
@@ -222,12 +224,12 @@ def build_entry(family: str, **params: int) -> ZetaEntry:
         closed = _closed([0] * d, [1] * (d + 1))
         conditions = (f"gcd(q, {d}!) = 1",)
 
-    entry = ZetaEntry(family, tuple(sorted(params.items())), lc, eps, shift,
-                      closed, conditions)
-    if not equal(scale_y(w_of(lc, eps), shift), closed):
+    w = w_of(lc, eps)
+    if not equal(scale_y(w, shift), closed):
         raise AssertionError(
             f"catalog identity failed for {family} {dict(params)}")
-    return entry
+    return ZetaEntry(family, tuple(sorted(params.items())), lc, eps, shift,
+                     closed, conditions, w)
 
 
 # -- direct Hadamard-product formulas ---------------------------------------

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from colshuffle.cli import main
+from colshuffle.cli import build_parser, main
 
 
 @pytest.fixture
@@ -199,6 +199,11 @@ def test_w_command(config_files, capsys):
     ["verify", "psi", "--t-order", "100000"],
     ["verify", "qsym", "--cutoff", "1000"],
     ["verify", "psi", "--max-len", "0", "--t-order", "2000000"],
+    ["verify", "theorem", "--max-len", "7"],
+    ["verify", "theorem", "--max-len", "12", "--trials", "20", "--seed", "1"],
+    ["verify", "theorem", "--max-support", "0"],
+    ["verify", "theorem", "--exp-range", "-1"],
+    ["verify", "theorem", "--max-len", "6", "--max-support", "33"],
 ])
 def test_out_of_range_bounds_are_usage_errors(argv, config_files, capsys):
     left, right = config_files
@@ -251,3 +256,28 @@ def test_golden_stdout(name, argv, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_one_parser_serves_every_call(capsys):
+    """The parser is built once per process; no call's options or defaults
+    reach a later call."""
+    left = str(GOLDEN / "left.txt")
+    build_parser.cache_clear()
+    fresh_plain = run(capsys, "w", left)
+    assert fresh_plain[0] == 0 and fresh_plain[1].count("\n") == 1
+    build_parser.cache_clear()
+    assert build_parser() is build_parser()
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, "w", left, "--order", "6", "--format", fmt)
+        assert (code, out) == (0, (GOLDEN / f"w_left_{fmt}.out").read_text())
+        assert run(capsys, "w", left) == fresh_plain
+    with pytest.raises(SystemExit) as exc:
+        main(["w", left, "--order", "six"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for fmt in ("text", "json", "latex"):
+        code, out, _ = run(capsys, "zeta", "hadamard", "mat:2,1", "so:3",
+                           "f2d_cc:4", "Tn:1", "--format", fmt)
+        assert (code, out) == (
+            0, (GOLDEN / f"zeta_hadamard_{fmt}.out").read_text())
+    assert run(capsys, "w", left) == fresh_plain

@@ -10,8 +10,7 @@ from colshuffle import (BadParameters, ColouredConfiguration, Label,
                         canonicalize, equal, evaluate_label, expand,
                         hadamard_iterated, hadamard_ud, parse_permutation,
                         scale_y, substitute, w_of)
-from colshuffle.ratfun import (_ypoly_add, _ypoly_from_factors, _ypoly_mul,
-                               hadamard)
+from colshuffle.ratfun import _times_factors, hadamard
 from conftest import coloured_permutations, laurent_polys
 
 P = parse_permutation
@@ -27,14 +26,41 @@ def lp(**monomials):
     return LaurentPoly(out)
 
 
+# Schoolbook products of Y-polynomials {Y-degree: LaurentPoly}: the oracles
+# below do not share the library's factor-at-a-time route.
+
+def ypoly_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, LaurentPoly.zero()) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def ypoly_mul(a, b):
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            out = ypoly_add(out, {k1 + k2: v1 * v2})
+    return out
+
+
+def ypoly_from_factors(factors):
+    """prod(1 - c*X^a*Y) expanded."""
+    out = {0: LaurentPoly.one()}
+    for c, a in factors:
+        out = ypoly_mul(out, {0: LaurentPoly.one(),
+                              1: LaurentPoly.monomial(-c, a)})
+    return out
+
+
 def remultiply(series, rgf):
     """Oracle: multiply an expansion back by the denominator, compare with
     the numerator through the truncation order."""
-    den = _ypoly_from_factors(rgf.denominator)
-    product = series.cauchy_mul(den)
-    want = [rgf.numerator.get(k, LaurentPoly.zero())
-            for k in range(series.order + 1)]
-    return list(product.coefficients) == want
+    product = ypoly_mul(dict(enumerate(series.coefficients)),
+                        ypoly_from_factors(rgf.denominator))
+    return all(product.get(k, LaurentPoly.zero())
+               == rgf.numerator.get(k, LaurentPoly.zero())
+               for k in range(series.order + 1))
 
 
 # -- Laurent polynomial ring laws ---------------------------------------------
@@ -171,8 +197,8 @@ def w_of_per_term(lc, eps):
         cofactor = [(Fraction(1), eps * i)
                     for i in range(len(perm) + 1, max_len + 1)]
         if cofactor:
-            term = _ypoly_mul(term, _ypoly_from_factors(cofactor))
-        numerator = _ypoly_add(numerator, term)
+            term = ypoly_mul(term, ypoly_from_factors(cofactor))
+        numerator = ypoly_add(numerator, term)
     return RationalGF(numerator, denominator)
 
 
@@ -303,6 +329,20 @@ def test_equal_distinguishes():
     assert equal(w_of(two_letter_lc(0), 1), RationalGF.geometric())
 
 
+def test_equal_offsets_negative_y_degrees():
+    # from_json_obj accepts negative Y-degrees, and equal cross-multiplies them
+    r = RationalGF({-2: lp(e1=1), 0: lp(e0=3)}, [(one, 1)])
+    factor = (Fraction(2), -1)
+    scaled = RationalGF(ypoly_mul(r.numerator, ypoly_from_factors([factor])),
+                        r.denominator + (factor,))
+    assert min(scaled.numerator) == -2
+    assert equal(r, scaled) and equal(scaled, r)
+    # without its Y^-2 term r differs, also after cross-multiplication
+    truncated = RationalGF(ypoly_mul({0: lp(e0=3)}, ypoly_from_factors([factor])),
+                           scaled.denominator)
+    assert not equal(r, truncated) and not equal(truncated, r)
+
+
 @given(st.integers(0, 10**6))
 def test_equal_invariant_under_common_factors(seed):
     rng = random.Random(seed)
@@ -312,7 +352,7 @@ def test_equal_invariant_under_common_factors(seed):
                    for _ in range(rng.randint(0, 3))]
     r = RationalGF(numerator, denominator)
     factor = (Fraction(rng.choice((1, -1, 2))), rng.randint(-2, 2))
-    scaled = RationalGF(_ypoly_mul(r.numerator, _ypoly_from_factors([factor])),
+    scaled = RationalGF(ypoly_mul(r.numerator, ypoly_from_factors([factor])),
                         r.denominator + (factor,))
     assert equal(r, scaled)
     assert equal(scaled, r)
@@ -425,7 +465,9 @@ def test_coefficients_are_int_or_fraction(seed, eps, q, low_y):
     reached = [a, b, series, series.hadamard(expand(b, 6)),
                hadamard_general(lhs, rhs, eps), scale_y(a, sm),
                substitute(a, q), substitute(b, q, sm),
-               _ypoly_mul(a.numerator, _ypoly_from_factors(b.denominator)),
+               _times_factors(a.numerator, b.denominator),
+               _times_factors(parsed.numerator, b.denominator),
+               ypoly_mul(a.numerator, ypoly_from_factors(b.denominator)),
                parsed, scale_y(parsed, sm)]
     for obj in reached:
         for c in _coefficients(obj):

@@ -135,6 +135,13 @@ def test_every_family_builds_at_small_parameters():
         build_entry(family, **{name: 2 for name in names})
 
 
+def test_entry_keeps_the_w_it_checked():
+    for family, names in FAMILY_PARAMS.items():
+        for value in (1, 2, 3):
+            entry = build_entry(family, **{name: value for name in names})
+            assert entry.w_raw() == w_of(entry.lc, entry.eps)
+
+
 # -- iterated Hadamard products ------------------------------------------------
 
 def test_mde_single_block_reduces_to_matrix_entry():
@@ -286,6 +293,100 @@ def test_ud_equals_colouring_sum():
             oracles[key] = ud_colouring_sum(key)
         result = hadamard_ud(shape)
         assert (result.rgf, result.t_size) == oracles[key], shape
+
+
+# -- the statistic-class recurrence, the large-n oracle of mde and f2d ------
+#
+# Colour each entry s of a word in S_n with 0 or s, and send the k coloured
+# symbols to 1..k in reverse order and the rest to k+1..n in order.  This is
+# a bijection onto S_n that keeps the descents at positions 1..n-1, and the
+# word starts with a descent at position 0 iff its image starts at most k.
+# So the colouring sum depends on the coloured set only through its size k:
+#
+#   numerator = sum_k e_k(-X^(a_1), ..., -X^(a_n)) * D_{n,k}(Y, X^delta)
+#   T_m(r) = Y q^(m-1) sum_{r' < r} T_{m-1}(r') + sum_{r' >= r} T_{m-1}(r')
+#   D_{n,k} = Y q^n sum_{r <= k} T_n(r) + sum_{r > k} T_n(r)
+#
+# where T_m(r) sums Y^des q^comaj over sigma in S_m with sigma_1 = r.  No
+# shuffle, series or LaurentPoly arithmetic is used: polynomials are dicts
+# of int counts.
+
+def _add_into(acc, poly, des=0, comaj=0, sign=1):
+    """acc += sign * Y^des * q^comaj * poly, dropping zero counts."""
+    for (d, c), count in poly.items():
+        key = (d + des, c + comaj)
+        value = acc.get(key, 0) + sign * count
+        if value:
+            acc[key] = value
+        else:
+            acc.pop(key, None)
+
+
+def descent_classes(n):
+    """[T_n(1), ..., T_n(n)] as dicts {(des, comaj): count}."""
+    rows = [{(0, 0): 1}]
+    for m in range(2, n + 1):
+        below, above = {}, {}  # sums of T_{m-1}(r') over r' < r, r' >= r
+        for row in rows:
+            _add_into(above, row)
+        new = []
+        for r in range(1, m + 1):
+            row = {}
+            _add_into(row, below, 1, m - 1)
+            _add_into(row, above)
+            new.append(row)
+            if r < m:
+                _add_into(below, rows[r - 1])
+                _add_into(above, rows[r - 1], sign=-1)
+        rows = new
+    return rows
+
+
+def statistic_class_sum(exponents, delta):
+    """``colouring_sum`` over all of S_n, n = len(exponents), by the
+    recurrence above."""
+    n = len(exponents)
+    elementary = [{0: 1}] + [{} for _ in exponents]  # e_k(-X^a_1, ...)
+    for a in exponents:
+        for k in range(n, 0, -1):
+            for x, count in elementary[k - 1].items():
+                elementary[k][x + a] = elementary[k].get(x + a, 0) - count
+    rows = descent_classes(n)
+    numerator = {}
+    for k, e_k in enumerate(elementary):
+        d_nk = {}
+        for r, row in enumerate(rows, start=1):
+            _add_into(d_nk, row, *((1, n) if r <= k else (0, 0)))
+        for (des, comaj), count in d_nk.items():
+            coeff = numerator.setdefault(des, {})
+            for x, e in e_k.items():
+                key = x + delta * comaj
+                coeff[key] = coeff.get(key, 0) + count * e
+    return RationalGF({des: LaurentPoly(c) for des, c in numerator.items()},
+                      [(1, delta * i) for i in range(n + 1)])
+
+
+def test_statistic_class_sum_equals_colouring_sum():
+    for delta in (-1, 0, 2):
+        for exponents in ([-1], [-2, -3], [-1, -1, -4], [0, -2, -1, -3]):
+            words = itertools.permutations(range(1, len(exponents) + 1))
+            assert (statistic_class_sum(exponents, delta)
+                    == colouring_sum(words, exponents, delta))
+
+
+@pytest.mark.parametrize("delta", [-1, 1, 2])
+def test_mde_equals_statistic_class_sum(delta):
+    lo = max(1, 1 - delta)
+    for n in (*range(7, 13), 20):
+        es = [lo + i % 3 for i in range(n)]
+        assert (hadamard_mde([(e + delta, e) for e in es])
+                == statistic_class_sum([-e - delta for e in es], delta))
+
+
+def test_f2d_equals_statistic_class_sum():
+    for ds in ([1] * 7, [2, 3, 1, 4, 2, 3, 1, 2], [3] * 10):
+        assert (hadamard_f2d(ds).rgf
+                == statistic_class_sum([-d for d in ds], 1))
 
 
 # -- class-counting products -----------------------------------------------------
