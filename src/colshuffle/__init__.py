@@ -15,10 +15,8 @@ from .errors import (BadParameters, ColourOutOfRange, ColshuffleError,
                      DeltaMismatch, NotCoherent, OrderMismatch, ParseError,
                      SymbolOverlap, UnknownFamily, UnknownSuite,
                      ZeroSubstitution)
-from .permutations import (ColouredDescentSet, ColouredInteger,
-                           ColouredPermutation, StatTriple,
-                           all_coloured_permutations,
-                           canonical_statistics_class, compare, descent_data,
+from .permutations import (ColouredInteger, ColouredPermutation, StatTriple,
+                           all_coloured_permutations, descent_data,
                            descent_set, parse_permutation, s_des, shuffles,
                            stat_triple)
 from .configurations import (ColouredConfiguration, Label,
@@ -34,11 +32,10 @@ from .shuffle_algebra import (STATISTICS, CompatReport, HImage,
                               h_tilde_map, hadamard_general,
                               hadamard_identity, hadamard_iterated,
                               hadamard_via_theorem)
-from .qsym import (TruncatedQSym, expand_F, psi_closed_form_check, psi_m,
+from .qsym import (TruncatedQSym, expand_F, psi_closed_form_check,
                    psi_series, verify_product_rule)
 from .zeta import (FAMILY_PARAMS, F2dFormula, UdFormula, ZetaEntry,
                    ZetaHadamardResult, build_entry, hadamard_entries,
-                   hadamard_f2d, hadamard_mde, hadamard_ud, pi_of, underline,
-                   underline_block)
+                   hadamard_f2d, hadamard_mde, hadamard_ud, pi_of, underline)
 
 __version__ = "0.1.0"

@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 from pathlib import Path
 
 from .configurations import make_strongly_disjoint, parse_labelled_configuration
 from .errors import BadParameters, ColshuffleError, ParseError, UnknownFamily
-from .permutations import parse_permutation
+from .permutations import descent_set, parse_permutation, s_des, stat_triple
 from .ratfun import RationalGF, expand, w_of
 from .shuffle_algebra import hadamard_via_theorem
-from .verify import run_suite
+from .verify import SUITES, run_suite
 from .zeta import FAMILY_PARAMS, build_entry, hadamard_entries
 
 _USAGE_ERROR = 2
@@ -48,15 +49,15 @@ def _rgf_output(rgf: RationalGF, fmt: str) -> None:
 
 def cmd_stats(args) -> int:
     perm = parse_permutation(args.permutation)
-    st = perm.stat_triple()
+    st = stat_triple(perm)
     report = {
         "permutation": str(perm),
         "length": len(perm),
         "des": st.des,
         "comaj": st.comaj,
         "col": {str(c): k for c, k in st.col},
-        "Des": sorted(perm.descent_set()),
-        "sDes": [[p, c] for p, c in perm.s_des()],
+        "Des": sorted(descent_set(perm)),
+        "sDes": [[p, c] for p, c in s_des(perm)],
     }
     _emit(report)
     return 0
@@ -105,20 +106,11 @@ def cmd_hadamard(args) -> int:
     return 0 if ok else _VERIFY_ERROR
 
 
-_SUITE_BOUNDS = {
-    "theorem": ("trials", "order", "seed", "max_support", "max_len",
-                "exp_range"),
-    "qsym": ("max_len", "cutoff", "colours"),
-    "psi": ("max_len", "t_order", "colours"),
-    "compat": ("max_total_len", "trials", "seed", "colours"),
-    "catalog": ("max_n", "max_d"),
-}
-
-
 def cmd_verify(args) -> int:
+    """Run ``args.suite`` with the bounds it takes that were given."""
     bounds = {}
-    if args.suite in _SUITE_BOUNDS:
-        for key in _SUITE_BOUNDS[args.suite]:
+    if args.suite in SUITES:
+        for key in inspect.signature(SUITES[args.suite]).parameters:
             value = getattr(args, key, None)
             if value is not None:
                 bounds[key] = value
@@ -165,17 +157,6 @@ def cmd_zeta_hadamard(args) -> int:
     else:
         _emit(result.to_json_obj())
     return 0
-
-
-def cmd_zeta_verify(args) -> int:
-    bounds = {}
-    if args.max_n is not None:
-        bounds["max_n"] = args.max_n
-    if args.max_d is not None:
-        bounds["max_d"] = args.max_d
-    report = run_suite("catalog", **bounds)
-    _emit(report)
-    return 0 if not report["failures"] else _VERIFY_ERROR
 
 
 def _add_format(parser) -> None:
@@ -255,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     pz = zeta_sub.add_parser("verify", help="catalog identity sweep")
     pz.add_argument("--max-n", dest="max_n", type=int, default=None)
     pz.add_argument("--max-d", dest="max_d", type=int, default=None)
-    pz.set_defaults(func=cmd_zeta_verify)
+    pz.set_defaults(func=cmd_verify, suite="catalog")
 
     return parser
 

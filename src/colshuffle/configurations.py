@@ -82,6 +82,13 @@ class SignedMonomial(NamedTuple):
         return cls(sign, exp)
 
 
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer (an ``int``, not a ``bool``)."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 class Label:
     """Finitely supported map colour -> SignedMonomial; default +X^0.
 
@@ -94,6 +101,8 @@ class Label:
         cleaned = {}
         for colour, value in (assignments or {}).items():
             value = SignedMonomial(*value)
+            if value.sign not in (1, -1):
+                raise ValueError(f"sign must be 1 or -1, got {value.sign}")
             if value.is_one():
                 continue
             if colour == 0:
@@ -132,7 +141,8 @@ class Label:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Label":
-        return cls({int(e["colour"]): SignedMonomial(int(e["sign"]), int(e["exponent"]))
+        return cls({_json_int(e["colour"]): SignedMonomial(
+                        _json_int(e["sign"]), _json_int(e["exponent"]))
                     for e in obj})
 
 
@@ -329,7 +339,9 @@ class LabelledConfiguration:
     @classmethod
     def from_json_obj(cls, obj) -> "LabelledConfiguration":
         config = ColouredConfiguration(
-            (ColouredPermutation(t["perm"]), int(t["mult"]))
+            (ColouredPermutation((_json_int(s), _json_int(c))
+                                 for s, c in t["perm"]),
+             _json_int(t["mult"]))
             for t in obj["config"])
         return cls(config, Label.from_json_obj(obj.get("label", [])))
 

@@ -14,13 +14,13 @@ turn this into the plain lexicographic order on (colour, symbol).)
 A coloured permutation is a string of coloured integers with pairwise
 distinct symbols.  The module computes descent sets, the descent number
 ``des``, the comajor index ``comaj``, the colour multiplicity vector ``col``,
-the coloured descent set (which refines all three), and shuffles.
+the coloured descent set (which refines all three) as the sorted tuple of
+its (position, colour) pairs, and shuffles.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from collections import deque
 from itertools import repeat
@@ -32,8 +32,6 @@ __all__ = [
     "ColouredInteger",
     "ColouredPermutation",
     "StatTriple",
-    "ColouredDescentSet",
-    "compare",
     "descent_set",
     "stat_triple",
     "stat_triple_raw",
@@ -42,7 +40,6 @@ __all__ = [
     "descent_data",
     "interleavings",
     "shuffles",
-    "canonical_statistics_class",
     "parse_permutation",
     "all_coloured_permutations",
 ]
@@ -70,13 +67,6 @@ class ColouredInteger(NamedTuple):
         return f"{self.symbol}^{self.colour}"
 
 
-def compare(a: ColouredInteger, b: ColouredInteger) -> int:
-    """Colour-order comparison: -1, 0 or 1."""
-    ka = (-a.colour, a.symbol)
-    kb = (-b.colour, b.symbol)
-    return (ka > kb) - (ka < kb)
-
-
 class StatTriple(NamedTuple):
     """The (des, comaj, col) value of a permutation.
 
@@ -87,49 +77,6 @@ class StatTriple(NamedTuple):
     des: int
     comaj: int
     col: tuple[tuple[int, int], ...]
-
-
-class ColouredDescentSet:
-    """A coloured subset of [n]: positions with a colour each.
-
-    Distinct positions; ``length`` is the largest recorded position (0 when
-    empty).  For a nonempty permutation the final position n is always
-    recorded, so ``length`` recovers the permutation length.
-    """
-
-    __slots__ = ("elements",)
-
-    def __init__(self, elements: Iterable[tuple[int, int]]):
-        elems = frozenset((int(p), int(c)) for p, c in elements)
-        positions = [p for p, _ in elems]
-        if len(positions) != len(set(positions)):
-            raise ValueError("coloured subset has a repeated position")
-        if any(p < 1 or c < 0 for p, c in elems):
-            raise ValueError("positions must be >= 1 and colours >= 0")
-        object.__setattr__(self, "elements", elems)
-
-    @property
-    def length(self) -> int:
-        return max((p for p, _ in self.elements), default=0)
-
-    def sorted_elements(self) -> list[tuple[int, int]]:
-        return sorted(self.elements)
-
-    def __eq__(self, other):
-        return isinstance(other, ColouredDescentSet) and self.elements == other.elements
-
-    def __hash__(self):
-        return hash(self.elements)
-
-    def __iter__(self):
-        return iter(self.sorted_elements())
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __repr__(self):
-        inner = ", ".join(f"{p}^{c}" for p, c in self.sorted_elements())
-        return "{" + inner + "}"
 
 
 _TOKEN = re.compile(r"(\d+)(?:\^(\d+))?$")
@@ -195,20 +142,8 @@ class ColouredPermutation:
     def symbols(self) -> frozenset[int]:
         return frozenset(e.symbol for e in self.entries)
 
-    def palette(self) -> frozenset[int]:
-        return frozenset(e.colour for e in self.entries)
-
     def palette_star(self) -> frozenset[int]:
         return frozenset(e.colour for e in self.entries if e.colour != 0)
-
-    def descent_set(self) -> frozenset[int]:
-        return descent_set(self)
-
-    def stat_triple(self) -> StatTriple:
-        return stat_triple(self)
-
-    def s_des(self) -> ColouredDescentSet:
-        return s_des(self)
 
     def relabel(self, symbol_map, colour_map=None) -> "ColouredPermutation":
         """Apply maps to symbols and (optionally) nonzero colours."""
@@ -222,13 +157,6 @@ class ColouredPermutation:
 
     def to_pairs(self) -> list[list[int]]:
         return [[e.symbol, e.colour] for e in self.entries]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_pairs())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ColouredPermutation":
-        return cls(json.loads(text))
 
 
 EMPTY = ColouredPermutation(())
@@ -295,7 +223,10 @@ def stat_triple(a: ColouredPermutation) -> StatTriple:
 
 
 def s_des_raw(entries) -> tuple[tuple[int, int], ...]:
-    """Sorted (position, colour) pairs of the coloured descent set."""
+    """The coloured descent set of a sequence of (symbol, colour) pairs:
+    interior positions where the colour changes or an equal-colour symbol
+    descent occurs, each with the colour at that position, then the final
+    position with the final colour; sorted by position."""
     n = len(entries)
     if not n:
         return ()
@@ -309,14 +240,13 @@ def s_des_raw(entries) -> tuple[tuple[int, int], ...]:
     return tuple(elems)
 
 
-def s_des(a: ColouredPermutation) -> ColouredDescentSet:
-    """The coloured descent set: interior positions where the colour changes
-    or an equal-colour symbol descent occurs, each recorded with the colour
-    at that position, plus the final position with the final colour."""
-    return ColouredDescentSet(s_des_raw(a.entries))
+def s_des(a: ColouredPermutation) -> tuple[tuple[int, int], ...]:
+    """The coloured descent set of ``a``, as ``s_des_raw`` gives it."""
+    return s_des_raw(a.entries)
 
 
-def descent_data(A: ColouredDescentSet) -> tuple[frozenset[int], tuple[int, ...]]:
+def descent_data(elems: tuple[tuple[int, int], ...]
+                 ) -> tuple[frozenset[int], tuple[int, ...]]:
     """Recover (descent set, colour word) from a coloured descent set.
 
     The colour word is constant between recorded positions; a recorded
@@ -324,7 +254,6 @@ def descent_data(A: ColouredDescentSet) -> tuple[frozenset[int], tuple[int, ...]
     recorded colour (equal colours force a symbol descent, a larger
     following colour in integer order means a drop in colour order).
     """
-    elems = A.sorted_elements()
     if not elems:
         return frozenset(), ()
     n = elems[-1][0]
@@ -376,11 +305,6 @@ def shuffles(a: ColouredPermutation, b: ColouredPermutation) -> list[ColouredPer
     words = interleavings(tuple((e,) for e in a.entries),
                           tuple((e,) for e in b.entries))
     return ColouredPermutation._raw_many(words)
-
-
-def canonical_statistics_class(a: ColouredPermutation) -> tuple[int, StatTriple]:
-    """The (length, (des, comaj, col)) key indexing the statistic class of a."""
-    return (len(a), stat_triple(a))
 
 
 def all_coloured_permutations(length: int, colours: int,

@@ -6,7 +6,7 @@ j a colour below a cutoff r): the sum over weakly increasing index
 sequences i_1 <= ... <= i_n <= m that increase strictly at every interior
 descent, of the monomials x_{i_1}^(c_1) ... x_{i_n}^(c_n).
 
-``psi_m`` specialises x_i^(0) -> x^(i-1) p_0 for i <= m and
+psi_m specialises x_i^(0) -> x^(i-1) p_0 for i <= m and
 x_i^(j) -> x^(i-1) p_j for 1 < i <= m (all other variables, including every
 x_1^(j) with j >= 1, go to zero); ``psi_series`` gives psi_1, ..., psi_m in
 one pass over the expansion.  Summing psi_m against t^(m-1) over m
@@ -31,7 +31,6 @@ __all__ = [
     "TruncatedQSym",
     "expand_F",
     "verify_product_rule",
-    "psi_m",
     "psi_series",
     "psi_closed_form_check",
 ]
@@ -69,9 +68,6 @@ class TruncatedQSym:
             raise ValueError("cutoffs differ")
         return TruncatedQSym(self.poly * other.poly, self.m,
                              max(self.r, other.r), self.degree + other.degree)
-
-    def monomial_count(self) -> int:
-        return len(self.poly.coeffs)
 
     def __repr__(self):
         return f"TruncatedQSym(m={self.m}, r={self.r}, deg={self.degree}, {self.poly!r})"
@@ -178,11 +174,6 @@ def psi_series(F: TruncatedQSym, cutoff: int) -> list[MPoly]:
             running[mono] = running.get(mono, 0) + coeff
         out.append(MPoly(running))
     return out
-
-
-def psi_m(F: TruncatedQSym, m: int) -> MPoly:
-    """The specialisation psi_m of a truncated expansion with F.m >= m."""
-    return psi_series(F, m)[-1]
 
 
 def psi_closed_form_check(a: ColouredPermutation, t_order: int) -> bool:

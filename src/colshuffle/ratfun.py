@@ -25,7 +25,6 @@ product by denominator factors, there and in ``w_of``, ``equal`` and
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -301,13 +300,6 @@ class RationalGF:
         denominator = [(Fraction(f["coeff"]), int(f["x"]))
                        for f in obj["denominator"]]
         return cls(numerator, denominator)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RationalGF":
-        return cls.from_json_obj(json.loads(text))
 
 
 def expand(r: RationalGF, order: int = DEFAULT_ORDER) -> SeriesY:

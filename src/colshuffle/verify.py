@@ -78,6 +78,23 @@ def _check_suite_size(max_len: int, colours: int, *, pairs: bool,
 _POOL = 6  # symbols each operand of random_coherent_pair draws from
 
 
+def _check_pair_bounds(max_support: int, max_len: int, exp_range: int) -> None:
+    """Raise ``BadParameters`` unless ``random_coherent_pair`` can draw at
+    these bounds: ``max_len`` at most the symbol pool, and ``max_support``
+    terms a side at that length shuffling to at most ``MAX_SHUFFLE_WORDS``
+    words."""
+    _check_bounds(max_support=max_support, max_len=max_len,
+                  exp_range=exp_range)
+    if max_len > _POOL:
+        raise BadParameters(f"max_len {max_len} is above the {_POOL} symbols "
+                            f"each random operand draws from")
+    words = max_support ** 2 * math.comb(2 * max_len, max_len)
+    if words > MAX_SHUFFLE_WORDS:
+        raise BadParameters(
+            f"max_support {max_support} at max_len {max_len} may shuffle "
+            f"{words} words, over the cap of {MAX_SHUFFLE_WORDS}")
+
+
 def _random_config(rng: random.Random, symbols: list[int], colours: list[int],
                    max_support: int, max_len: int) -> ColouredConfiguration:
     terms = []
@@ -94,6 +111,7 @@ def random_coherent_pair(rng: random.Random, max_support: int = 3,
                          ) -> tuple[LabelledConfiguration, LabelledConfiguration]:
     """A random coherent pair: symbol-disjoint configurations that may
     share nonzero colours, with labels agreeing on the shared ones."""
+    _check_pair_bounds(max_support, max_len, exp_range)
     colours = list(range(0, 4))
     lhs_config = _random_config(rng, list(range(1, _POOL + 1)), colours,
                                 max_support, max_len)
@@ -121,19 +139,10 @@ def theorem_suite(trials: int = 200, order: int = 10, seed: int = 0,
     """Random coherent pairs: the closed form of the shuffled configuration
     must match the coefficientwise product of the expanded series, and the
     series kernel (``hadamard_general``) must give that closed form
-    structurally.  A failure names the check that failed.  ``max_len`` is at
-    most the symbol pool, and ``max_support`` terms a side at that length
-    may shuffle to at most ``MAX_SHUFFLE_WORDS`` words."""
-    _check_bounds(trials=trials, order=order, max_support=max_support,
-                  max_len=max_len, exp_range=exp_range)
-    if max_len > _POOL:
-        raise BadParameters(f"max_len {max_len} is above the {_POOL} symbols "
-                            f"each random operand draws from")
-    words = max_support ** 2 * math.comb(2 * max_len, max_len)
-    if words > MAX_SHUFFLE_WORDS:
-        raise BadParameters(
-            f"max_support {max_support} at max_len {max_len} may shuffle "
-            f"{words} words, over the cap of {MAX_SHUFFLE_WORDS}")
+    structurally.  A failure names the check that failed.  The operand
+    bounds are those of ``random_coherent_pair``."""
+    _check_bounds(trials=trials, order=order)
+    _check_pair_bounds(max_support, max_len, exp_range)
     rng = random.Random(seed)
     failures = []
     for case in range(trials):

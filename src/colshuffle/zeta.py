@@ -45,7 +45,6 @@ __all__ = [
     "ZetaEntry",
     "build_entry",
     "underline",
-    "underline_block",
     "pi_of",
     "hadamard_mde",
     "hadamard_f2d",
@@ -71,10 +70,6 @@ class ZetaEntry:
     closed_form: RationalGF
     conditions: tuple[str, ...]
     w: RationalGF = field(compare=False, repr=False)
-
-    def w_raw(self) -> RationalGF:
-        """The unshifted generating function of the configuration."""
-        return self.w
 
     def to_json_obj(self) -> dict:
         obj = self.closed_form.to_json_obj()
@@ -105,15 +100,9 @@ def pi_of(perms: Iterable[Sequence[int] | ColouredPermutation]) -> ColouredConfi
     return ColouredConfiguration.from_permutations(coloured)
 
 
-def underline_block(lo: int, hi: int) -> ColouredConfiguration:
-    """All colourings of the increasing word lo..hi where entry i carries
-    colour 0 or i.  An empty range gives the empty permutation."""
-    return pi_of([range(lo, hi + 1)])
-
-
 def underline(n: int) -> ColouredConfiguration:
     """The 2^n colourings of 1..n with entry i coloured 0 or i."""
-    return underline_block(1, n)
+    return pi_of([range(1, n + 1)])
 
 
 _CONDITION_SO = "residue characteristic != 2"
@@ -358,6 +347,6 @@ def hadamard_entries(entries: Sequence[ZetaEntry]) -> ZetaHadamardResult:
         for c in entry.conditions:
             if c not in conditions:
                 conditions.append(c)
-    rgf = hadamard([entry.w_raw() for entry in entries], eps)
+    rgf = hadamard([entry.w for entry in entries], eps)
     return ZetaHadamardResult(eps, shift, scale_y(rgf, shift),
                               tuple(conditions))

@@ -1,8 +1,12 @@
+import importlib
 import json
+import pkgutil
+import shlex
 from pathlib import Path
 
 import pytest
 
+import colshuffle
 from colshuffle.cli import build_parser, main
 
 
@@ -248,6 +252,12 @@ def _golden_cases():
         yield (f"zeta_hadamard_{fmt}",
                ["zeta", "hadamard", "mat:2,1", "so:3", "f2d_cc:4", "Tn:1",
                 "--format", fmt])
+    for name, perm in (("coloured", "1^1 2^2"), ("empty", ""),
+                       ("mixed", "2^1 1 3^2")):
+        yield f"stats_{name}", ["stats", perm]
+    # both spellings of the catalog sweep print the same report
+    yield "zeta_verify", ["zeta", "verify", "--max-n", "2"]
+    yield "verify_catalog", ["verify", "catalog", "--max-n", "2"]
 
 
 @pytest.mark.parametrize("name,argv", [pytest.param(name, argv, id=name)
@@ -281,3 +291,58 @@ def test_one_parser_serves_every_call(capsys):
         assert (code, out) == (
             0, (GOLDEN / f"zeta_hadamard_{fmt}.out").read_text())
     assert run(capsys, "w", left) == fresh_plain
+
+
+def _json_case(perm="[[1, 1]]", mult="1", label=""):
+    label = f', "label": [{label}]' if label else ""
+    return f'{{"config": [{{"perm": {perm}, "mult": {mult}}}]{label}}}'
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_json_case(perm="[[1.9, 0.5]]"), id="float_entry"),
+    pytest.param(_json_case(mult="1.5"), id="float_mult"),
+    pytest.param(_json_case(perm='[["1", 0]]'), id="string_symbol"),
+    pytest.param(_json_case(perm="[[true, 0]]"), id="bool_symbol"),
+    pytest.param(_json_case(mult="true"), id="bool_mult"),
+    pytest.param(_json_case(label='{"colour": 1, "sign": 3, "exponent": 1}'),
+                 id="sign_3"),
+    pytest.param(_json_case(label='{"colour": 1, "sign": 0, "exponent": 1}'),
+                 id="sign_0"),
+    pytest.param(_json_case(
+        label='{"colour": 1, "sign": -1, "exponent": 1.5}'),
+        id="float_exponent"),
+    pytest.param(_json_case(
+        label='{"colour": 1.0, "sign": -1, "exponent": 1}'),
+        id="float_colour"),
+])
+def test_json_configuration_takes_only_integers(text, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "w", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _readme_commands():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("colshuffle ")]
+
+
+def test_readme_commands_run(capsys, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
+def test_every_public_name_resolves():
+    for info in pkgutil.iter_modules(colshuffle.__path__):
+        module = importlib.import_module(f"colshuffle.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.{name}"

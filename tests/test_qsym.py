@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import colshuffle.qsym as qsym
 from colshuffle import (ColourOutOfRange, MPoly, SymbolOverlap, expand_F,
-                        parse_permutation, psi_closed_form_check, psi_m,
+                        parse_permutation, psi_closed_form_check,
                         psi_series, s_des, shuffles, verify_product_rule)
 from colshuffle.mpoly import monomial
 from colshuffle.qsym import qvar
@@ -112,7 +112,7 @@ def test_expand_F_homogeneous_with_counted_monomials(a, m):
     for mono in F.poly.coeffs:
         assert sum(e for _, e in mono) == n
     strict = frozenset(i for i in descent_set(a) if i != 0)
-    assert F.monomial_count() == count_sequences(n, m, strict)
+    assert len(F.poly.coeffs) == count_sequences(n, m, strict)
     # distinct sequences produce distinct monomials, so coefficients are 1
     assert all(c == 1 for c in F.poly.coeffs.values())
 
@@ -186,15 +186,15 @@ def test_qsym_suite_catches_a_dropped_shuffle(monkeypatch):
 # -- the specialisations -----------------------------------------------------------
 
 def test_psi_boundary_cases():
-    assert psi_m(expand_F(P("1^1"), 1), 1) == MPoly.zero()
-    assert psi_m(expand_F(P(""), 1), 1) == MPoly.one()
+    assert psi_series(expand_F(P("1^1"), 1), 1)[-1] == MPoly.zero()
+    assert psi_series(expand_F(P(""), 1), 1)[-1] == MPoly.one()
     # first index substitutes to p with x^0: psi_1 of an uncoloured letter
-    assert psi_m(expand_F(P("1"), 1), 1) == MPoly.variable(p_var(0))
+    assert psi_series(expand_F(P("1"), 1), 1)[-1] == MPoly.variable(p_var(0))
 
 
 def test_psi_requires_cutoff():
     with pytest.raises(ValueError):
-        psi_m(expand_F(P("1"), 2), 3)
+        psi_series(expand_F(P("1"), 2), 3)
     F = expand_F(P("1 2^1"), 2)
     for cutoff in (0, 3):
         with pytest.raises(ValueError):
@@ -214,7 +214,8 @@ def test_psi_series_matches_per_m_reference(a, k):
 
 @given(coloured_permutations(max_len=3, max_colour=2), st.integers(1, 4))
 def test_psi_matches_direct_enumeration(a, m):
-    assert psi_m(expand_F(a, m), m) == psi_by_direct_enumeration(a, m)
+    assert (psi_series(expand_F(a, m), m)[-1]
+            == psi_by_direct_enumeration(a, m))
 
 
 @given(coloured_permutations(max_len=2, max_colour=2, symbol_pool=4),
@@ -225,7 +226,8 @@ def test_psi_is_multiplicative(a, b, m):
         b = b.relabel({s: s + 10 for s in b.symbols()})
     r = 3
     F, G = expand_F(a, m, r), expand_F(b, m, r)
-    assert psi_m(F * G, m) == psi_m(F, m) * psi_m(G, m)
+    assert (psi_series(F * G, m)[-1]
+            == psi_series(F, m)[-1] * psi_series(G, m)[-1])
 
 
 # -- the closed form ---------------------------------------------------------------

@@ -11,7 +11,7 @@ from colshuffle import (BadParameters, ColouredConfiguration,
                         ColouredInteger, ColouredPermutation, Label,
                         LabelledConfiguration, MPoly, NotCoherent, RationalGF,
                         SignedMonomial, StatTriple, all_coloured_permutations,
-                        canonical_statistics_class, check_shuffle_compatibility,
+                        check_shuffle_compatibility,
                         equal, expand, h_map, h_of, h_tilde_map,
                         hadamard_general, hadamard_identity,
                         hadamard_iterated,
@@ -127,6 +127,16 @@ def test_theorem_suite_names_the_failed_check(monkeypatch):
         [(case, "hadamard_general") for case in range(3)]
 
 
+@pytest.mark.parametrize("bounds", [
+    {"max_len": 12}, {"max_len": 7}, {"max_len": -1}, {"max_support": 0},
+    {"exp_range": -1}, {"max_len": 6, "max_support": 33}])
+def test_random_coherent_pair_rejects_bounds(bounds):
+    """The generator rejects, as theorem_suite does, bounds it cannot
+    draw at."""
+    with pytest.raises(BadParameters):
+        random_coherent_pair(random.Random(1), **bounds)
+
+
 def test_hadamard_iterated_is_w_of_its_configuration():
     entries = [lc_of({1: SignedMonomial(-1, -2)}, "1^0", "1^1"),
                lc_of({1: SignedMonomial(-1, -3)}, "1^0", "1^1")]
@@ -208,7 +218,7 @@ def test_leading_terms_distinct_across_classes():
     seen = {}
     for n in range(0, 4):
         for a in all_coloured_permutations(n, 3):
-            key = canonical_statistics_class(a)
+            key = (len(a), stat_triple(a))
             if key in seen:
                 continue
             image = h_of(a)

@@ -9,8 +9,7 @@ from colshuffle import (BadParameters, DeltaMismatch, Label,
                         SignedMonomial, UnknownFamily, build_entry, equal,
                         expand, hadamard_entries, hadamard_f2d, hadamard_mde,
                         hadamard_ud,
-                        parse_permutation, pi_of, scale_y, underline,
-                        underline_block, w_of)
+                        parse_permutation, pi_of, scale_y, underline, w_of)
 from colshuffle.zeta import FAMILY_PARAMS
 
 P = parse_permutation
@@ -33,7 +32,7 @@ def test_underline_structure():
         assert [e.symbol for e in perm.entries] == [1, 2, 3]
         for e in perm.entries:
             assert e.colour in (0, e.symbol)
-    assert underline_block(3, 2).support() == (P(""),)
+    assert pi_of([range(3, 3)]).support() == (P(""),)
 
 
 def test_pi_of_golden():
@@ -74,14 +73,14 @@ def test_build_entry_threshold_golden():
     # the zeta function itself: raw W with the argument shift applied
     assert equal(entry.closed_form, closed([-2, -3], [-1, 0, 1]))
     # and the unshifted generating function has the factored column form
-    assert equal(entry.w_raw(), closed([-1, -2], [0, 1, 2]))
+    assert equal(entry.w, closed([-1, -2], [0, 1, 2]))
 
 
 def test_build_entry_unitriangular_golden():
     entry = build_entry("unitriangular_oc", d=3)
     assert entry.eps == 0
     assert entry.shift == SignedMonomial(1, 1)
-    assert equal(entry.w_raw(), closed([-1] * 3, [0] * 4))
+    assert equal(entry.w, closed([-1] * 3, [0] * 4))
     assert equal(entry.closed_form, closed([0] * 3, [1] * 4))
     assert entry.conditions == ("gcd(q, 3!) = 1",)
 
@@ -139,7 +138,7 @@ def test_entry_keeps_the_w_it_checked():
     for family, names in FAMILY_PARAMS.items():
         for value in (1, 2, 3):
             entry = build_entry(family, **{name: value for name in names})
-            assert entry.w_raw() == w_of(entry.lc, entry.eps)
+            assert entry.w == w_of(entry.lc, entry.eps)
 
 
 # -- iterated Hadamard products ------------------------------------------------
