@@ -30,8 +30,8 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .configurations import (LabelledConfiguration, SignedMonomial,
-                             evaluate_label)
-from .errors import BadParameters, OrderMismatch, ZeroSubstitution
+                             _json_int, evaluate_label)
+from .errors import BadParameters, OrderMismatch, ParseError, ZeroSubstitution
 from .mpoly import Coeff, MPoly, divide_by_factors, multiply_by_factors
 from .permutations import stat_triple_raw
 
@@ -293,12 +293,16 @@ class RationalGF:
 
     @classmethod
     def from_json_obj(cls, obj) -> "RationalGF":
-        numerator = {
-            int(t["y"]): LaurentPoly({int(e["x"]): Fraction(e["value"])
-                                      for e in t["coefficient"]})
-            for t in obj["numerator"]}
-        denominator = [(Fraction(f["coeff"]), int(f["x"]))
-                       for f in obj["denominator"]]
+        try:
+            numerator = {
+                _json_int(t["y"]): LaurentPoly({
+                    _json_int(e["x"]): Fraction(e["value"])
+                    for e in t["coefficient"]})
+                for t in obj["numerator"]}
+            denominator = [(Fraction(f["coeff"]), _json_int(f["x"]))
+                           for f in obj["denominator"]]
+        except ValueError as exc:
+            raise ParseError(f"bad JSON generating function: {exc}") from exc
         return cls(numerator, denominator)
 
 

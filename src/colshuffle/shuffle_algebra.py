@@ -30,8 +30,8 @@ from .configurations import (ColouredConfiguration, Label,
 from .errors import BadParameters
 from .mpoly import MPoly, divide_by_factors, monomial
 from .permutations import (ColouredInteger, ColouredPermutation, EMPTY,
-                           StatTriple, all_coloured_permutations, s_des,
-                           s_des_raw, stat_triple, stat_triple_raw)
+                           StatTriple, s_des, s_des_raw, stat_triple,
+                           stat_triple_raw)
 from .ratfun import RationalGF, hadamard, w_of
 
 __all__ = [
@@ -217,14 +217,6 @@ STATISTICS: dict[str, Statistic] = {
 }
 
 
-def _raw_statistic(stat: Statistic):
-    raw = getattr(stat, "raw", None)
-    if raw is not None:
-        return raw
-    make = ColouredPermutation._raw
-    return lambda entries: stat(make(tuple(entries)))
-
-
 @dataclass
 class CompatReport:
     statistic: str
@@ -247,23 +239,11 @@ class CompatReport:
 def _random_relabelling_case(rng: random.Random, max_len: int, colours: int):
     n = rng.randint(0, max_len)
     symbols = rng.sample(range(1, 4 * max_len + 2), n)
-    entries = [(s, rng.randrange(colours)) for s in symbols]
+    entries = [ColouredInteger(s, rng.randrange(colours)) for s in symbols]
     targets = sorted(rng.sample(range(1, 8 * max_len + 4), n))
     mapping = dict(zip(sorted(symbols), targets))
-    return ColouredPermutation(entries), mapping
-
-
-def _relabelling_cases(rng: random.Random, trials: int, max_len: int,
-                       colours: int):
-    """Phase 1's cases, drawn one at a time so that a violation found early
-    stops the drawing: a sweep over short permutations, then ``trials``
-    random cases."""
-    for n in range(0, min(max_len, 3) + 1):
-        for perm in all_coloured_permutations(n, colours):
-            yield perm, {s: s + 1 for s in perm.symbols()}
-            yield perm, {s: 2 * s for s in perm.symbols()}
-    for _ in range(trials):
-        yield _random_relabelling_case(rng, max_len, colours)
+    return ColouredPermutation._raw_many([tuple(entries), tuple(
+        ColouredInteger(mapping[s], c) for s, c in entries)])
 
 
 def _check_compat_bounds(trials: int, max_len: int, colours: int) -> None:
@@ -335,7 +315,7 @@ class _Scorer:
             for order in permutations(symbols))
 
     def side(self, symbols: tuple[int, ...]) -> tuple[list, list[int]]:
-        """The variants of one operand's symbol set and their value ids."""
+        """The words over ``symbols`` and their value ids, kept per set."""
         cached = self._sides.get(symbols)
         if cached is None:
             words = list(self.words(symbols))
@@ -450,26 +430,30 @@ def check_shuffle_compatibility(stat: Statistic, trials: int = 200,
     coloured permutation statistic.
 
     Two phases.  First, invariance of ``stat`` under order-preserving symbol
-    relabellings is sampled (a deterministic sweep over short permutations
-    plus ``trials`` random cases); a violation means ``stat`` is not a
-    coloured permutation statistic at all.  Second, symbol-disjoint pairs
-    with total length at most ``max_len`` and colours below ``colours`` are
-    enumerated exhaustively up to joint relabelling: the symbols 1..n+m are
-    split between the operands in every way, each side takes every order
-    and colouring, and the multiset of statistic values over the shuffles
-    of the pair is collected.  Multisets are compared across pairs whose
-    operands agree in length and statistic value; a mismatch is a
-    counterexample to shuffle compatibility.
+    relabellings is sampled; a violation means ``stat`` is not a coloured
+    permutation statistic at all.  For each n <= min(max_len, 3), ``stat``
+    is evaluated once on every coloured permutation of 1..n and of its
+    images under s -> s + 1 and s -> 2s.  The three lists come in the same
+    order, so word i maps to word i of each image and the values are
+    compared position by position.  Then ``trials`` random permutations are
+    compared with random relabellings of themselves.  Second,
+    symbol-disjoint pairs with total length at most ``max_len`` and colours
+    below ``colours`` are enumerated exhaustively up to joint relabelling:
+    the symbols 1..n+m are split between the operands in every way, each
+    side takes every order and colouring, and the multiset of statistic
+    values over the shuffles of the pair is collected.  Multisets are
+    compared across pairs whose operands agree in length and statistic
+    value; a mismatch is a counterexample to shuffle compatibility.
 
-    Phase 2 evaluates ``stat`` once on each word it needs: for each total
-    length, every coloured permutation of 1..total, kept in a table indexed
-    by the rank of its symbol order and its colouring; and every order and
-    colouring of each operand's symbol set.  Values are interned to small
-    ints, and a pair's multiset is the sorted list of the table entries of
-    its shuffles.  The table holds max_len! * colours**max_len entries;
-    bounds beyond ``MAX_COMPAT_WORDS`` of them, negative ``trials`` or
-    ``max_len``, and ``colours`` < 1 raise ``BadParameters`` before any
-    work.
+    Statistic values must be hashable: both phases intern them to small
+    ints.  Phase 2 evaluates ``stat`` once on each word it needs: for each
+    total length, every coloured permutation of 1..total, kept in a table
+    indexed by the rank of its symbol order and its colouring; and every
+    order and colouring of each operand's symbol set.  A pair's multiset is
+    the sorted list of the table entries of its shuffles.  The table holds
+    max_len! * colours**max_len entries; bounds beyond ``MAX_COMPAT_WORDS``
+    of them, negative ``trials`` or ``max_len``, and ``colours`` < 1 raise
+    ``BadParameters`` before any work.
 
     Returns a report whose ``counterexample`` is None when nothing was
     found.
@@ -478,22 +462,39 @@ def check_shuffle_compatibility(stat: Statistic, trials: int = 200,
     name = statistic_name or getattr(stat, "__name__", "statistic")
     performed = 0
 
-    # phase 1: relabelling invariance
-    for perm, mapping in _relabelling_cases(random.Random(seed), trials,
-                                            max_len, colours):
+    def relabelling(checks, perm, relabelled):
+        return CompatReport(name, checks, 0, {
+            "kind": "relabelling",
+            "permutation": str(perm),
+            "relabelled": str(relabelled),
+            "values": [repr(stat(perm)), repr(stat(relabelled))],
+        })
+
+    # phase 1: relabelling invariance, swept then sampled
+    make = ColouredPermutation._raw
+    sweep = _Scorer(lambda entries: stat(make(entries)), colours)
+    for n in range(min(max_len, 3) + 1):
+        words, ids = sweep.side(tuple(range(1, n + 1)))
+        images = [sweep.side(tuple(range(2, n + 2))),  # s -> s + 1
+                  sweep.side(tuple(range(2, 2 * n + 1, 2)))]  # s -> 2s
+        if any(image_ids != ids for _, image_ids in images):
+            # word i's case with image j is case 2i + j
+            case = min(2 * i + j for j, (_, image_ids) in enumerate(images)
+                       for i, (x, y) in enumerate(zip(ids, image_ids))
+                       if x != y)
+            i, j = divmod(case, 2)
+            return relabelling(performed + case + 1, make(words[i]),
+                               make(images[j][0][i]))
+        performed += 2 * len(ids)
+    rng = random.Random(seed)
+    for _ in range(trials):
         performed += 1
-        relabelled = perm.relabel(mapping)
+        perm, relabelled = _random_relabelling_case(rng, max_len, colours)
         if stat(perm) != stat(relabelled):
-            return CompatReport(name, performed, 0, {
-                "kind": "relabelling",
-                "permutation": str(perm),
-                "relabelled": str(relabelled),
-                "values": [repr(stat(perm)), repr(stat(relabelled))],
-            })
+            return relabelling(performed, perm, relabelled)
 
     # phase 2: shuffle multisets across statistic classes
-    scorer = _Scorer(_raw_statistic(stat), colours)
-    make = ColouredPermutation._raw
+    scorer = _Scorer(getattr(stat, "raw", None) or sweep.raw_stat, colours)
     groups = _Groups()
     for n, sa, m, lhs, sbs, rhs_words, multisets in _sweep(scorer, max_len,
                                                            colours):

@@ -258,6 +258,9 @@ def _golden_cases():
     # both spellings of the catalog sweep print the same report
     yield "zeta_verify", ["zeta", "verify", "--max-n", "2"]
     yield "verify_catalog", ["verify", "catalog", "--max-n", "2"]
+    # both relabelling phases and the planted control's counterexample
+    yield "verify_compat", ["verify", "compat", "--max-total-len", "4",
+                            "--colours", "2", "--trials", "20", "--seed", "3"]
 
 
 @pytest.mark.parametrize("name,argv", [pytest.param(name, argv, id=name)

@@ -7,10 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from colshuffle import (BadParameters, ColouredConfiguration, Label,
                         LabelledConfiguration, LaurentPoly, OrderMismatch,
-                        RationalGF, SeriesY, SignedMonomial, ZeroSubstitution,
-                        canonicalize, equal, evaluate_label, expand,
-                        hadamard_iterated, hadamard_ud, parse_permutation,
-                        scale_y, stat_triple, substitute, w_of)
+                        ParseError, RationalGF, SeriesY, SignedMonomial,
+                        ZeroSubstitution, canonicalize, equal, evaluate_label,
+                        expand, hadamard_iterated, hadamard_ud,
+                        parse_permutation, scale_y, stat_triple, substitute,
+                        w_of)
 from colshuffle.ratfun import _times_factors, hadamard
 from conftest import coloured_permutations, laurent_polys
 
@@ -482,6 +483,27 @@ def test_coefficients_are_int_or_fraction(seed, eps, q, low_y):
 def test_json_round_trip():
     r = w_of(two_letter_lc(-2), 1)
     assert RationalGF.from_json_obj(json.loads(json.dumps(r.to_json_obj()))) == r
+
+
+def _gf_json(y="0", x="0", denominator_x="0"):
+    return (f'{{"numerator": [{{"y": {y}, "coefficient": '
+            f'[{{"x": {x}, "value": "1"}}]}}], '
+            f'"denominator": [{{"coeff": "1", "x": {denominator_x}}}]}}')
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_gf_json(y="1.5", x="true", denominator_x="0.5"),
+                 id="float_y_bool_x_float_denominator"),
+    pytest.param(_gf_json(y="true"), id="bool_y"),
+    pytest.param(_gf_json(x="2.7"), id="float_x"),
+    pytest.param(_gf_json(denominator_x='"1"'), id="string_denominator_x"),
+    pytest.param(_gf_json(y="1.0"), id="integral_float_y"),
+])
+def test_json_rejects_non_integer_exponents(text):
+    """Exponents must be JSON integers; they are never truncated."""
+    with pytest.raises(ParseError):
+        RationalGF.from_json_obj(json.loads(text))
+    assert RationalGF.from_json_obj(json.loads(_gf_json(y="1", x="2")))
 
 
 def test_display_forms():

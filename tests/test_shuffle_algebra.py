@@ -395,6 +395,26 @@ def inversions_from_length_4(a):
     return stat_triple(a) if len(a) < 4 else inversions(a)
 
 
+def symbol_spread(a):
+    """Invariant under s -> s + 1 but not under s -> 2s: phase 1 fails on
+    the s -> 2s image of 1^0 2^0."""
+    symbols = [e.symbol for e in a.entries]
+    return max(symbols) - min(symbols) if symbols else 0
+
+
+def last_symbol_at_length_3(a):
+    """Not relabelling invariant on length-3 words whose last colour is
+    nonzero, and only there."""
+    last = a.entries[-1] if len(a) == 3 else None
+    return last.symbol if last and last.colour else stat_triple(a)
+
+
+def first_symbol_from_length_4(a):
+    """Not relabelling invariant from length 4 on, beyond the sweep of
+    phase 1, so that only its random trials can catch it."""
+    return a.entries[0].symbol if len(a) >= 4 else stat_triple(a)
+
+
 HARNESS_STATISTICS = {
     "des_comaj_col": STATISTICS["des_comaj_col"],
     "sdes": STATISTICS["sdes"],
@@ -403,6 +423,9 @@ HARNESS_STATISTICS = {
     "inversions": inversions,
     "des_parity": des_parity,
     "inversions_from_length_4": inversions_from_length_4,
+    "symbol_spread": symbol_spread,
+    "last_symbol_at_length_3": last_symbol_at_length_3,
+    "first_symbol_from_length_4": first_symbol_from_length_4,
 }
 HARNESS_BOUNDS = [(0, 1), (1, 3), (2, 2), (3, 1), (3, 3), (4, 2), (5, 1),
                   (5, 3)]
