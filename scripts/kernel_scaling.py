@@ -5,8 +5,13 @@ the wall time of ``hadamard_mde([(2, 1)] * k)``, which is the Hadamard
 product of k copies of the ``mat 2 1`` closed form, and the number of terms
 of its numerator.  For k <= 12 the result is also checked against the
 series oracle, the coefficientwise product of the blocks' expansions to
-order 2k + 1, which determines the closed form; the script exits 1 on a
-mismatch.  Stdlib only; run from a checkout:
+order 2k + 1, which determines the closed form.
+
+A second table times one Laurent product of two dense polynomials of n
+terms each, for n = 4, 8, ..., 1024, through the dict product and through
+the packed product, by setting ``mpoly.PACK_MIN_TERMS`` (from which
+``MPoly.__mul__`` packs) above n and to 1.  The two products must be equal.
+The script exits 1 on any mismatch.  Stdlib only; run from a checkout:
 
     python3 scripts/kernel_scaling.py --max-blocks 40
 """
@@ -14,15 +19,18 @@ mismatch.  Stdlib only; run from a checkout:
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from colshuffle import build_entry, expand, hadamard_mde  # noqa: E402
+from colshuffle import (LaurentPoly, build_entry, expand,  # noqa: E402
+                        hadamard_mde, mpoly)
 
 ORACLE_MAX_BLOCKS = 12
+PRODUCT_TERMS = [2**i for i in range(2, 11)]
 
 
 def block_counts(max_blocks: int) -> list[int]:
@@ -37,6 +45,38 @@ def oracle_agrees(result, k: int) -> bool:
     for _ in range(k - 1):
         product = product.hadamard(block)
     return expand(result, order) == product
+
+
+def time_product(a, b, min_terms: int):
+    """a * b, packed from ``min_terms`` terms on, and its best time."""
+    saved = mpoly.PACK_MIN_TERMS
+    mpoly.PACK_MIN_TERMS = min_terms
+    try:
+        best = float("inf")
+        for _ in range(max(3, 4096 // len(a.coeffs))):
+            start = time.perf_counter()
+            product = a * b
+            best = min(best, time.perf_counter() - start)
+    finally:
+        mpoly.PACK_MIN_TERMS = saved
+    return product, best
+
+
+def product_table() -> bool:
+    """Dict against packed Laurent products; False on a mismatch."""
+    rng = random.Random(0)
+    ok = True
+    print(f"\n{'terms':>6}  {'dict ms':>9}  {'packed ms':>9}  equal")
+    for n in PRODUCT_TERMS:
+        a, b = (LaurentPoly({e - n // 2: rng.randint(-1000, 1000) or 1
+                             for e in range(n)}) for _ in range(2))
+        by_dict, dict_s = time_product(a, b, n + 1)
+        packed, packed_s = time_product(a, b, 1)
+        equal = by_dict == packed
+        ok = ok and equal
+        print(f"{n:>6}  {1e3 * dict_s:>9.3f}  {1e3 * packed_s:>9.3f}  "
+              f"{'ok' if equal else 'MISMATCH'}", flush=True)
+    return ok
 
 
 def main(argv=None) -> int:
@@ -60,6 +100,7 @@ def main(argv=None) -> int:
         else:
             verdict = "-"
         print(f"{k:>6}  {elapsed:>8.3f}  {terms:>15}  {verdict}", flush=True)
+    ok = product_table() and ok
     return 0 if ok else 1
 
 

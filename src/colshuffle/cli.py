@@ -20,6 +20,7 @@ import functools
 import inspect
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .configurations import make_strongly_disjoint, parse_labelled_configuration
@@ -34,8 +35,40 @@ _USAGE_ERROR = 2
 _VERIFY_ERROR = 1
 
 
+def _write_json(obj, newline: str, put) -> None:
+    """Write ``obj`` through ``put`` as ``json.dumps(obj, indent=2,
+    sort_keys=True)`` does, byte for byte; ``newline`` is a line break and
+    the indent of ``obj``.  With an indent, ``json`` runs its pure-Python
+    encoder; here every string and key goes through the C escaper."""
+    kind = type(obj)
+    if kind is str:
+        put(encode_basestring_ascii(obj))
+    elif kind is int:
+        put(int.__repr__(obj))
+    elif isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
+        if not obj:
+            put("{}" if is_dict else "[]")
+            return
+        inner = newline + "  "
+        sep = ("{" if is_dict else "[") + inner
+        for item in sorted(obj.items()) if is_dict else obj:
+            put(sep)
+            if is_dict:
+                key, item = item
+                put(encode_basestring_ascii(
+                    key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + ("}" if is_dict else "]"))
+    else:  # None, bools, floats and subclasses of str and int
+        put(json.dumps(obj))
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    chunks: list[str] = []
+    _write_json(obj, "\n", chunks.append)
+    print("".join(chunks))
 
 
 def _rgf_output(rgf: RationalGF, fmt: str) -> None:

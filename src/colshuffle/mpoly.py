@@ -10,7 +10,11 @@ constant monomial.  ``ratfun.LaurentPoly`` reuses the same arithmetic with
 integer exponents of X as keys.
 
 A list of polynomials is a series in t; ``multiply_by_factors`` and its
-inverse ``divide_by_factors`` apply factors 1 - c*m*t one at a time.
+inverse ``divide_by_factors`` apply factors 1 - c*m*t one at a time, each
+step one dict pass (``add_mul``).  Results that cannot hold a zero skip the
+constructor's filter.  Products of integer-keyed polynomials with ``int``
+coefficients that are large and dense enough are packed into one bignum
+product (Kronecker substitution, see ``PACK_MIN_TERMS``).
 
 Coefficients are stored as they come: integral ones are plain ``int`` and a
 ``Fraction`` appears only where arithmetic makes a non-integral rational.
@@ -20,6 +24,8 @@ never shows in equality, hashing or printing.  No float is used anywhere.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
@@ -50,6 +56,69 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted((v, e) for v, e in acc.items() if e))
 
 
+# Kronecker substitution (Schoenhage 1982; Harvey, J. Symb. Comput. 2009): a
+# Laurent polynomial with int coefficients is evaluated at X = 2^(8*width),
+# each digit offset by half its range, so that one bignum product and one
+# unpacking of bytes give every coefficient of a product.  The thresholds
+# were measured with Python 3.11 on a 2-core x86-64 Xeon, on the Laurent
+# products of 250 operations of the file_hadamard and zeta_products bench
+# workloads (coefficients below 2^12): at 6 terms per operand the packed and
+# the dict product tie, at 7 the packed one takes 0.74-0.85 of the time and
+# at 9 to 16 about half.  Over exponent spans of 1, 2 and 4 times the term
+# count it still wins from 16 terms up (random coefficients of up to 50); at
+# 8 times it loses below 64 terms.  A sparser operand, such as X^0 +
+# X^(10^6), keeps the dict product and never becomes a huge int.
+PACK_MIN_TERMS = 7
+PACK_MAX_SPAN = 4
+# array codes of unsigned 1-, 2-, 4- and 8-byte digits; other widths, and
+# every width on a big-endian machine, go through int.to_bytes
+_DIGIT_CODES = ({1: "B", 2: "H", 4: "I", 8: "Q"}
+                if sys.byteorder == "little" else {})
+
+
+def _offset(span: int, width: int) -> int:
+    """The packed int whose ``span`` digits all hold half the digit range."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * span, "little")
+
+
+def _packed(p: dict, lo: int, span: int, width: int) -> int:
+    """p(X) / X^lo at X = 2^(8*width), through digits offset by half."""
+    half = 1 << (8 * width - 1)
+    digits = [half] * span
+    for e, c in p.items():
+        digits[e - lo] += c
+    code = _DIGIT_CODES.get(width)
+    raw = (array(code, digits).tobytes() if code else
+           b"".join(d.to_bytes(width, "little") for d in digits))
+    return int.from_bytes(raw, "little") - _offset(span, width)
+
+
+def _packed_product(a: dict, b: dict) -> dict | None:
+    """The product of {exponent: int} dicts by Kronecker substitution, or
+    None if a coefficient is not an int or an operand is too sparse."""
+    lo_a, lo_b = min(a), min(b)
+    span_a, span_b = max(a) - lo_a + 1, max(b) - lo_b + 1
+    if (span_a > PACK_MAX_SPAN * len(a) or span_b > PACK_MAX_SPAN * len(b)
+            or {*map(type, a.values()), *map(type, b.values())} != {int}):
+        return None
+    # no coefficient of the product exceeds this bound in absolute value
+    bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
+             * min(len(a), len(b)))
+    width = bound.bit_length() // 8 + 1  # bytes, with room for a sign bit
+    if width <= 8:
+        width = 1 if width == 1 else 2 if width == 2 else 4 if width <= 4 else 8
+    span = span_a + span_b - 1
+    product = (_packed(a, lo_a, span_a, width) * _packed(b, lo_b, span_b, width)
+               + _offset(span, width))
+    raw = product.to_bytes(span * width, "little")
+    code = _DIGIT_CODES.get(width)
+    digits = (array(code, raw) if code else
+              [int.from_bytes(raw[i:i + width], "little")
+               for i in range(0, len(raw), width)])
+    half, lo = 1 << (8 * width - 1), lo_a + lo_b
+    return {lo + i: d - half for i, d in enumerate(digits) if d != half}
+
+
 class MPoly:
     """Immutable sparse polynomial: dict key -> nonzero coefficient."""
 
@@ -58,10 +127,19 @@ class MPoly:
     # the key of the constant term, and the product of two keys
     ONE: Hashable = ONE_MONOMIAL
     key_mul = staticmethod(monomial_mul)
+    # keys are ints that multiply by addition, so products may be packed
+    INT_KEYS = False
 
     def __init__(self, coeffs: Mapping[Hashable, Coeff] | None = None):
         object.__setattr__(self, "coeffs",
                            {k: c for k, c in (coeffs or {}).items() if c})
+
+    @classmethod
+    def _trusted(cls, coeffs: dict):
+        """Store ``coeffs`` as is: a fresh dict that holds no zero."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -100,32 +178,64 @@ class MPoly:
 
     def __add__(self, other):
         out = dict(self.coeffs)
+        get = out.get
+        cancelled = False
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return type(self)(out)
+            c += get(k, 0)
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+                cancelled = True
+        # a dict keeps the slots of deleted keys until it is copied
+        return self._trusted(dict(out) if cancelled else out)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.coeffs.items()})
+        return self._trusted({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if self.INT_KEYS and min(len(a), len(b)) >= PACK_MIN_TERMS:
+            packed = _packed_product(a, b)
+            if packed is not None:
+                return self._trusted(packed)
         key_mul = self.key_mul
         out: dict = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 k = key_mul(k1, k2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return type(self)(out)
+                out[k] = get(k, 0) + c1 * c2
+        return self._trusted({k: c for k, c in out.items() if c})
 
     def mul_monomial(self, key, c=1):
         """The product with the single term ``c`` times the monomial ``key``."""
         if not c:
             return type(self)()
         key_mul = self.key_mul
-        return type(self)({key_mul(k, key): v * c
-                           for k, v in self.coeffs.items()})
+        return self._trusted({key_mul(k, key): v * c
+                              for k, v in self.coeffs.items()})
+
+    def add_mul(self, other, key, c):
+        """self + c * m * other for the monomial m of ``key``, in one pass."""
+        if not c:
+            return self
+        out = dict(self.coeffs)
+        get = out.get
+        key_mul = self.key_mul
+        cancelled = False
+        for k, v in other.coeffs.items():
+            k = key_mul(k, key)
+            v = get(k, 0) + v * c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+                cancelled = True
+        return self._trusted(dict(out) if cancelled else out)
 
     def __repr__(self):
         if not self.coeffs:
@@ -154,7 +264,7 @@ def multiply_by_factors(coeffs: Sequence[MPoly],
     coeffs = list(coeffs)
     for c, key in factors:
         for k in range(len(coeffs) - 1, 0, -1):
-            coeffs[k] = coeffs[k] + coeffs[k - 1].mul_monomial(key, -c)
+            coeffs[k] = coeffs[k].add_mul(coeffs[k - 1], key, -c)
     return coeffs
 
 
@@ -169,6 +279,6 @@ def divide_by_factors(coeffs: Sequence[MPoly],
     for c, key in factors:
         prev = coeffs[0]
         for k in range(1, len(coeffs)):
-            prev = coeffs[k] + prev.mul_monomial(key, c)
+            prev = coeffs[k].add_mul(prev, key, c)
             coeffs[k] = prev
     return coeffs

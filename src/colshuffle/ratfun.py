@@ -64,6 +64,7 @@ class LaurentPoly(MPoly):
 
     ONE = 0
     key_mul = staticmethod(add)
+    INT_KEYS = True
 
     @classmethod
     def monomial(cls, coeff, exponent: int = 0) -> "LaurentPoly":
@@ -412,8 +413,8 @@ def hadamard(rgfs: Sequence[RationalGF], eps: int) -> RationalGF:
     if None in lengths:
         return RationalGF.zero()
     n = sum(lengths)
-    series = SeriesY([LaurentPoly.one()] * (n + 1))
-    for r in rgfs:
+    series = expand(rgfs[0], n) if rgfs else SeriesY([LaurentPoly.one()])
+    for r in rgfs[1:]:
         series = series.hadamard(expand(r, n))
     denominator = _w_denominator(eps, n)
     numerator = multiply_by_factors(series.coefficients, denominator)

@@ -29,6 +29,12 @@ def laurent_polys(draw, max_terms=4, exp_range=4):
     return LaurentPoly(terms)
 
 
+def assert_no_zero_stored(*polys):
+    """No polynomial keeps a zero coefficient in its dict."""
+    for p in polys:
+        assert all(p.coeffs.values()), p.coeffs
+
+
 @pytest.fixture
 def two_letter_pair():
     """The pair of one-symbol configurations whose shuffle has 8 terms."""

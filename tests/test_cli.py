@@ -5,9 +5,10 @@ import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import colshuffle
-from colshuffle.cli import build_parser, main
+from colshuffle.cli import _write_json, build_parser, main
 
 
 @pytest.fixture
@@ -258,6 +259,10 @@ def _golden_cases():
     # both spellings of the catalog sweep print the same report
     yield "zeta_verify", ["zeta", "verify", "--max-n", "2"]
     yield "verify_catalog", ["verify", "catalog", "--max-n", "2"]
+    # the JSON of one catalog entry and of a verify report
+    yield "zeta_build_json", ["zeta", "build", "Tn", "2"]
+    yield "verify_psi", ["verify", "psi", "--max-len", "2", "--t-order", "6",
+                         "--colours", "2"]
     # both relabelling phases and the planted control's counterexample
     yield "verify_compat", ["verify", "compat", "--max-total-len", "4",
                             "--colours", "2", "--trials", "20", "--seed", "3"]
@@ -294,6 +299,29 @@ def test_one_parser_serves_every_call(capsys):
         assert (code, out) == (
             0, (GOLDEN / f"zeta_hadamard_{fmt}.out").read_text())
     assert run(capsys, "w", left) == fresh_plain
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.text(),
+    st.sampled_from(["", "\\", "\"", "\n\t\x00\x7f", "é☃\U0001f600"]),
+    st.integers(), st.integers(-2**300, -2**200))
+# json.dumps sorts the keys of a dict, so they share one type
+json_keys = st.sampled_from([st.text(max_size=4), st.integers(),
+                             st.booleans(), st.none()])
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        json_keys.flatmap(lambda keys: st.dictionaries(keys, inner,
+                                                       max_size=4))),
+    max_leaves=20)
+
+
+@given(json_values)
+def test_json_writer_matches_json_dumps(obj):
+    chunks = []
+    _write_json(obj, "\n", chunks.append)
+    assert "".join(chunks) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _json_case(perm="[[1, 1]]", mult="1", label=""):

@@ -1,8 +1,13 @@
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, strategies as st
 
-from colshuffle.mpoly import (MPoly, divide_by_factors, monomial,
+from colshuffle import LaurentPoly, mpoly
+from colshuffle.mpoly import (PACK_MAX_SPAN, PACK_MIN_TERMS, MPoly,
+                              _packed_product, divide_by_factors, monomial,
                               monomial_mul, multiply_by_factors)
-from conftest import laurent_polys
+from conftest import assert_no_zero_stored, laurent_polys
 
 VARS = [("x",), ("p", 0), ("p", 1), ("z",)]
 T = ("t",)  # the series variable, kept apart from VARS
@@ -40,6 +45,9 @@ def test_ring_laws(a, b, c):
     assert a + MPoly.zero() == a
     assert a * MPoly.one() == a
     assert (a - a).is_zero()
+    assert_no_zero_stored(a + b, a - b, -a, a * b, (a + b) * c,
+                          a.mul_monomial(monomial((("z",), 1)), -2),
+                          a.add_mul(b, monomial((("x",), 1)), 3))
 
 
 def test_mul_monomial_matches_term_product():
@@ -68,6 +76,7 @@ def test_multiply_and_divide_by_factors_are_inverse(case):
     coeffs, factors = case
     product = multiply_by_factors(coeffs, factors)
     assert len(product) == len(coeffs)
+    assert_no_zero_stored(*product, *divide_by_factors(coeffs, factors))
     assert divide_by_factors(product, factors) == coeffs
     assert multiply_by_factors(divide_by_factors(coeffs, factors),
                                factors) == coeffs
@@ -92,3 +101,110 @@ def test_multiply_by_factors_is_the_truncated_product(coeffs, factors):
     truncated = MPoly({mono: c for mono, c in product.coeffs.items()
                        if dict(mono).get(T, 0) < len(coeffs)})
     assert t_series(multiply_by_factors(coeffs, factors)) == truncated
+
+
+# -- packed Laurent products ---------------------------------------------------
+
+def schoolbook(a, b):
+    """The product of two Laurent polynomials, term by term."""
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def dense(coefficients, low=0):
+    return LaurentPoly({low + i: c for i, c in enumerate(coefficients)})
+
+
+SCALES = (1, 2**7, 2**8, 2**63, 2**64, 2**65, 2**200)
+
+
+@st.composite
+def dense_laurent_polys(draw):
+    """A Laurent polynomial of 1 to 3*PACK_MIN_TERMS terms on a span of at
+    most PACK_MAX_SPAN times its term count, at a drawn coefficient scale."""
+    n = draw(st.integers(1, 3 * PACK_MIN_TERMS))
+    low = draw(st.integers(-30, 30))
+    exponents = draw(st.lists(st.integers(low, low + PACK_MAX_SPAN * n - 1),
+                              min_size=n, max_size=n, unique=True))
+    scale = draw(st.sampled_from(SCALES))
+    values = st.integers(-scale, scale).filter(bool)
+    return LaurentPoly({e: draw(values) for e in exponents})
+
+
+@given(dense_laurent_polys(), dense_laurent_polys())
+def test_packed_product_is_the_schoolbook_product(a, b):
+    expected = schoolbook(a, b)
+    assert _packed_product(a.coeffs, b.coeffs) == expected
+    product = a * b
+    assert product.coeffs == expected
+    assert_no_zero_stored(product)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+@pytest.mark.parametrize("bits", [7, 8, 15, 16, 31, 32, 63, 64, 200])
+def test_packed_product_at_the_digit_width_boundaries(n, bits):
+    # all-equal operands put the bound n*|t| itself in the middle
+    # coefficient: just below, at and just above 2^bits, with either sign
+    for t in (2**bits // n - 1, 2**bits // n, 2**bits // n + 1):
+        for sign_a, sign_b in ((1, 1), (1, -1), (-1, 1)):
+            a = dense([sign_a] * n, low=-n)
+            b = dense([sign_b * t] * n, low=3)
+            expected = schoolbook(a, b)
+            assert _packed_product(a.coeffs, b.coeffs) == expected
+            assert (a * b).coeffs == expected
+
+
+def test_packed_product_cancels():
+    # (1 + X + ... + X^7)(1 - X + ... - X^7) = (1 - X^8)(1 + X^2 + X^4 + X^6):
+    # every odd coefficient cancels to zero
+    n = 8
+    a, b = dense([1] * n), dense([(-1) ** i for i in range(n)])
+    assert _packed_product(a.coeffs, b.coeffs) is not None
+    product = a * b
+    assert product.coeffs == {0: 1, 2: 1, 4: 1, 6: 1,
+                              8: -1, 10: -1, 12: -1, 14: -1}
+    # huge terms that cancel, and a product that is zero altogether
+    big = dense([2**200 + i for i in range(n)], low=-5)
+    assert (big * a - a * big).is_zero()
+    assert (big * LaurentPoly.zero()).is_zero()
+    assert (big * (a - a)).is_zero()
+
+
+def test_products_pack_from_the_threshold_on(monkeypatch):
+    packed = []
+
+    def spy(a, b):
+        packed.append((len(a), len(b)))
+        return _packed_product(a, b)
+
+    monkeypatch.setattr(mpoly, "_packed_product", spy)
+    for n in (PACK_MIN_TERMS - 1, PACK_MIN_TERMS, PACK_MIN_TERMS + 1):
+        a, b = dense(range(1, n + 1), low=-2), dense(range(-n, 0))
+        assert (a * b).coeffs == schoolbook(a, b)
+        assert (a * dense([1] * 2 * n)).coeffs == \
+            schoolbook(a, dense([1] * 2 * n))
+    assert packed == [(n, m) for n in (PACK_MIN_TERMS, PACK_MIN_TERMS + 1)
+                      for m in (n, 2 * n)]
+
+
+def test_fraction_coefficients_take_the_dict_product():
+    a = dense([1, 2, Fraction(1, 3), -4, 5, 6, 7, 8], low=-2)
+    b = dense(range(1, 9))
+    assert _packed_product(a.coeffs, b.coeffs) is None
+    assert (a * b).coeffs == schoolbook(a, b)
+    assert (a * b).coeffs[-2] == 1
+    assert (b * a) == a * b
+    assert_no_zero_stored(a * b, b * a)
+
+
+def test_sparse_operands_take_the_dict_product():
+    a = LaurentPoly({0: 1, 10**6: 1})
+    assert _packed_product(a.coeffs, a.coeffs) is None
+    assert (a * a).coeffs == {0: 1, 10**6: 2, 2 * 10**6: 1}
+    # at the packing size, one far exponent keeps the operand sparse
+    wide = dense([1] * PACK_MIN_TERMS) + LaurentPoly({10**6: -1})
+    assert _packed_product(wide.coeffs, wide.coeffs) is None
+    assert (wide * wide).coeffs == schoolbook(wide, wide)

@@ -12,8 +12,10 @@ from colshuffle import (BadParameters, ColouredConfiguration, Label,
                         expand, hadamard_iterated, hadamard_ud,
                         parse_permutation, scale_y, stat_triple, substitute,
                         w_of)
+from colshuffle.mpoly import MPoly
 from colshuffle.ratfun import _times_factors, hadamard
-from conftest import coloured_permutations, laurent_polys
+from conftest import (assert_no_zero_stored, coloured_permutations,
+                      laurent_polys)
 
 P = parse_permutation
 one = Fraction(1)
@@ -77,6 +79,8 @@ def test_laurent_ring_laws(a, b, c):
     assert a + LaurentPoly.zero() == a
     assert a * LaurentPoly.one() == a
     assert (a - a).is_zero()
+    assert_no_zero_stored(a + b, a - b, -a, a * b, (a + b) * c,
+                          a.mul_monomial(-3, 2), a.add_mul(b, 2, -1))
 
 
 def test_int_and_fraction_coefficients_agree():
@@ -258,6 +262,17 @@ def test_hadamard_kernel_without_operands_is_the_identity():
         assert hadamard([], eps) == RationalGF.geometric()
     result = hadamard_ud([])
     assert (result.rgf, result.t_size) == (RationalGF.geometric(), 1)
+
+
+def test_hadamard_kernel_multiplies_no_series_by_one(monkeypatch):
+    products = []
+    product = MPoly.__mul__
+    monkeypatch.setattr(MPoly, "__mul__",
+                        lambda a, b: products.append(1) or product(a, b))
+    w = RationalGF({0: LaurentPoly.one()}, [(1, 0), (1, 1)])
+    hadamard([w, w, w], 1)
+    # three operands of total length 3: two products of series through Y^3
+    assert len(products) == 2 * 4
 
 
 def test_hadamard_kernel_rejects_non_w_denominators():
