@@ -19,10 +19,10 @@ which ``psi_closed_form_check`` verifies through a given t-order.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections import Counter
 
 from .errors import ColourOutOfRange, SymbolOverlap
-from .mpoly import MPoly, Monomial, monomial
+from .mpoly import MPoly, Monomial, monomial, monomial_mul
 from .permutations import (ColouredPermutation, descent_set, s_des_raw,
                            shuffles, stat_triple)
 from .shuffle_algebra import HImage, X_VAR, p_var
@@ -73,25 +73,6 @@ class TruncatedQSym:
         return f"TruncatedQSym(m={self.m}, r={self.r}, deg={self.degree}, {self.poly!r})"
 
 
-def _index_sequences(n: int, m: int, strict: frozenset[int]) -> Iterator[tuple[int, ...]]:
-    """Weakly increasing sequences i_1 <= ... <= i_n <= m with a strict
-    increase after each position in ``strict``."""
-    if n == 0:
-        yield ()
-        return
-    seq = [0] * n
-
-    def rec(pos: int, lo: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            yield tuple(seq)
-            return
-        for v in range(lo, m + 1):
-            seq[pos] = v
-            yield from rec(pos + 1, v + 1 if (pos + 1) in strict else v)
-
-    yield from rec(0, 1)
-
-
 def expand_F(a: ColouredPermutation, m: int, r: int | None = None) -> TruncatedQSym:
     """Monomial expansion of the fundamental function of ``a`` truncated to
     variable indices <= m.  ``r`` defaults to (max colour of a) + 1."""
@@ -102,13 +83,24 @@ def expand_F(a: ColouredPermutation, m: int, r: int | None = None) -> TruncatedQ
         raise ColourOutOfRange(f"colour >= {r} present")
     if m < 1:
         raise ValueError("cutoff m must be >= 1")
-    n = len(a)
-    strict = frozenset(i for i in descent_set(a) if i != 0)
-    coeffs: dict[Monomial, int] = {}
-    for seq in _index_sequences(n, m, strict):
-        mono = monomial(*[(qvar(i, c), 1) for i, c in zip(seq, colours)])
-        coeffs[mono] = coeffs.get(mono, 0) + 1
-    return TruncatedQSym(MPoly(coeffs), m, r, n)
+    strict = descent_set(a)
+    # one level per letter: (monomial so far, its last index, the least
+    # index of the next letter); a rising index sorts after every variable
+    # before it, an equal one is spliced in
+    level: list[tuple[Monomial, int, int]] = [((), 0, 1)]
+    for pos, c in enumerate(colours, 1):
+        step = pos in strict
+        grown = []
+        for mono, last, lo in level:
+            if lo == last:
+                grown.append((monomial_mul(mono, ((qvar(lo, c), 1),)),
+                              lo, lo + step))
+                lo += 1
+            grown += [(mono + ((qvar(i, c), 1),), i, i + step)
+                      for i in range(lo, m + 1)]
+        level = grown
+    return TruncatedQSym(MPoly(Counter(mono for mono, _, _ in level)), m, r,
+                         len(colours))
 
 
 def verify_product_rule(a: ColouredPermutation, b: ColouredPermutation,
@@ -151,6 +143,7 @@ def psi_series(F: TruncatedQSym, cutoff: int) -> list[MPoly]:
     if F.m < cutoff:
         raise ValueError(f"truncation cutoff {F.m} is below m = {cutoff}")
     files: list[dict[Monomial, int]] = [{} for _ in range(cutoff)]
+    targets: dict[tuple, Monomial] = {}  # (colour exponents, x exponent)
     for mono, coeff in F.poly.coeffs.items():
         top = mono[-1][0][1] if mono else 1
         if top > cutoff:
@@ -163,8 +156,11 @@ def psi_series(F: TruncatedQSym, cutoff: int) -> list[MPoly]:
             x_exp += (index - 1) * exp
             p_exps[colour] = p_exps.get(colour, 0) + exp
         else:
-            target = monomial(*[(p_var(c), e) for c, e in p_exps.items()],
-                              (X_VAR, x_exp))
+            key = (tuple(p_exps.items()), x_exp)
+            target = targets.get(key)
+            if target is None:
+                target = targets[key] = monomial(
+                    *[(p_var(c), e) for c, e in key[0]], (X_VAR, x_exp))
             file = files[top - 1]
             file[target] = file.get(target, 0) + coeff
     out = []

@@ -449,11 +449,13 @@ def check_shuffle_compatibility(stat: Statistic, trials: int = 200,
     ints.  Phase 2 evaluates ``stat`` once on each word it needs: for each
     total length, every coloured permutation of 1..total, kept in a table
     indexed by the rank of its symbol order and its colouring; and every
-    order and colouring of each operand's symbol set.  A pair's multiset is
-    the sorted list of the table entries of its shuffles.  The table holds
-    max_len! * colours**max_len entries; bounds beyond ``MAX_COMPAT_WORDS``
-    of them, negative ``trials`` or ``max_len``, and ``colours`` < 1 raise
-    ``BadParameters`` before any work.
+    order and colouring of each operand's symbol set.  A statistic without
+    ``.raw`` shares phase 1's scores, so no word is evaluated twice outside
+    the random trials.  A pair's multiset is the sorted list of the table
+    entries of its shuffles.  The table holds max_len! * colours**max_len
+    entries; bounds beyond ``MAX_COMPAT_WORDS`` of them, negative
+    ``trials`` or ``max_len``, and ``colours`` < 1 raise ``BadParameters``
+    before any work.
 
     Returns a report whose ``counterexample`` is None when nothing was
     found.
@@ -494,7 +496,7 @@ def check_shuffle_compatibility(stat: Statistic, trials: int = 200,
             return relabelling(performed, perm, relabelled)
 
     # phase 2: shuffle multisets across statistic classes
-    scorer = _Scorer(getattr(stat, "raw", None) or sweep.raw_stat, colours)
+    scorer = _Scorer(stat.raw, colours) if getattr(stat, "raw", None) else sweep
     groups = _Groups()
     for n, sa, m, lhs, sbs, rhs_words, multisets in _sweep(scorer, max_len,
                                                            colours):

@@ -263,6 +263,8 @@ def _golden_cases():
     yield "zeta_build_json", ["zeta", "build", "Tn", "2"]
     yield "verify_psi", ["verify", "psi", "--max-len", "2", "--t-order", "6",
                          "--colours", "2"]
+    yield "verify_qsym", ["verify", "qsym", "--max-len", "1", "--cutoff", "3",
+                          "--colours", "2"]
     # both relabelling phases and the planted control's counterexample
     yield "verify_compat", ["verify", "compat", "--max-total-len", "4",
                             "--colours", "2", "--trials", "20", "--seed", "3"]

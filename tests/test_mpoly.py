@@ -35,6 +35,46 @@ def test_monomial_normalisation():
         ((("p", 1), 2), (("x",), 1))
 
 
+def dict_and_sort_product(a, b):
+    """The product of two monomials as a dict of exponents, sorted."""
+    acc = dict(a)
+    for var, exp in b:
+        acc[var] = acc.get(var, 0) + exp
+    return tuple(sorted((v, e) for v, e in acc.items() if e))
+
+
+# variables of every shape the library uses; qvar-style keys sort among the
+# others, and negative exponents let a product cancel a variable
+PRODUCT_VARS = VARS + [("p", 2), ("x", 1, 0), ("x", 1, 2), ("x", 3, 1)]
+signed_monomials = st.dictionaries(
+    st.sampled_from(PRODUCT_VARS),
+    st.integers(-2, 3).filter(bool), max_size=5).map(
+        lambda exps: tuple(sorted(exps.items())))
+
+
+@given(signed_monomials, signed_monomials)
+def test_monomial_mul_is_the_dict_and_sort_product(a, b):
+    """One-variable right operands are spliced in, others take the dict
+    path: both give the reference product, one variable at a time too."""
+    assert monomial_mul(a, b) == dict_and_sort_product(a, b)
+    for pair in b:
+        assert monomial_mul(a, (pair,)) == dict_and_sort_product(a, (pair,))
+
+
+@pytest.mark.parametrize("var,exp", [
+    (("p", 0), 1),      # before every variable of a
+    (("p", 2), 2),      # between two of them
+    (("x", 1, 2), 1),   # between two of them
+    (("z",), 1),        # after every one
+    (("x",), 2),        # equal: the exponents add
+    (("x", 1, 0), -1),  # equal: the variable cancels
+])
+def test_monomial_mul_splices_one_variable(var, exp):
+    a = ((("p", 1), 1), (("x",), 1), (("x", 1, 0), 1), (("x", 3, 1), 2))
+    assert monomial_mul(a, ((var, exp),)) == dict_and_sort_product(
+        a, ((var, exp),))
+
+
 @given(mpolys(), mpolys(), mpolys())
 def test_ring_laws(a, b, c):
     assert a + b == b + a

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -6,7 +8,7 @@ from colshuffle import (ColourOutOfRange, MPoly, SymbolOverlap, expand_F,
                         parse_permutation, psi_closed_form_check,
                         psi_series, s_des, shuffles, verify_product_rule)
 from colshuffle.mpoly import monomial
-from colshuffle.qsym import qvar
+from colshuffle.qsym import TruncatedQSym, qvar
 from colshuffle.shuffle_algebra import X_VAR, p_var
 from colshuffle.permutations import (all_coloured_permutations, descent_set,
                                      s_des_raw)
@@ -115,6 +117,34 @@ def test_expand_F_homogeneous_with_counted_monomials(a, m):
     assert len(F.poly.coeffs) == count_sequences(n, m, strict)
     # distinct sequences produce distinct monomials, so coefficients are 1
     assert all(c == 1 for c in F.poly.coeffs.values())
+
+
+def expand_F_by_index_sequences(a, m):
+    """Oracle for the expansion: every weakly increasing index sequence,
+    kept if it rises strictly after each interior descent, read as a
+    monomial through ``monomial``."""
+    colours = [c for _, c in a.entries]
+    strict = [i for i in descent_set(a) if 0 < i < len(a)]
+    coeffs = {}
+    for seq in itertools.combinations_with_replacement(range(1, m + 1),
+                                                       len(a)):
+        if all(seq[i - 1] < seq[i] for i in strict):
+            mono = monomial(*[(qvar(i, c), 1) for i, c in zip(seq, colours)])
+            coeffs[mono] = coeffs.get(mono, 0) + 1
+    return TruncatedQSym(MPoly(coeffs), m, max(colours, default=0) + 1,
+                         len(a))
+
+
+def test_expand_F_matches_index_sequence_oracle():
+    """Every coloured permutation of length <= 4 with colours < 3, at every
+    cutoff m <= 5: the same monomials (as tuples, so in the same order),
+    coefficients, cutoff, colour bound and degree."""
+    for n in range(5):
+        for a in all_coloured_permutations(n, 3):
+            for m in range(1, 6):
+                F, ref = expand_F(a, m), expand_F_by_index_sequences(a, m)
+                assert (F.poly.coeffs, F.m, F.r, F.degree) == (
+                    ref.poly.coeffs, ref.m, ref.r, ref.degree)
 
 
 @given(coloured_permutations(max_len=4, max_colour=2),

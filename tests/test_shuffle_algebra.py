@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -522,3 +523,30 @@ def test_harness_scores_each_word_once():
                                     if s not in lhs])
     assert len(evaluated) == len(set(evaluated))
     assert set(evaluated) == needed
+
+
+def test_black_box_statistic_shares_phase_one_scores():
+    """A statistic without ``.raw`` is scored through phase 1's scorer in
+    phase 2 as well: outside the random trials, which evaluate both sides
+    of each case, no word is evaluated twice, and the report is the one the
+    separate scorers gave."""
+    evaluated = []
+
+    def des(a):
+        evaluated.append(a.entries)
+        return stat_triple(a).des
+
+    max_len, colours, trials = 4, 3, 200
+    report = check_shuffle_compatibility(des, trials=trials, max_len=max_len,
+                                         colours=colours)
+    assert report.ok and report.trials == 4636
+    assert len(evaluated) == 3275
+    rng = random.Random(0)
+    sampled = collections.Counter(
+        perm.entries for _ in range(trials)
+        for perm in shuffle_algebra._random_relabelling_case(rng, max_len,
+                                                             colours))
+    swept = collections.Counter(evaluated)
+    assert not sampled - swept
+    swept -= sampled
+    assert max(swept.values()) == 1
