@@ -194,9 +194,6 @@ class ColouredConfiguration:
     def support(self) -> tuple[ColouredPermutation, ...]:
         return tuple(p for p, _ in self.terms)
 
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -61,10 +61,25 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
         return a + b
     if not b:
         return a
-    acc = dict(a)
-    for var, exp in b:
-        acc[var] = acc.get(var, 0) + exp
-    return tuple(sorted((v, e) for v, e in acc.items() if e))
+    # merge the two sorted tuples
+    out = []
+    i = j = 0
+    len_a, len_b = len(a), len(b)
+    while i < len_a and j < len_b:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va < vb:
+            out.append(a[i])
+            i += 1
+        elif vb < va:
+            out.append(b[j])
+            j += 1
+        else:
+            if ea + eb:
+                out.append((va, ea + eb))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 # Kronecker substitution (Schoenhage 1982; Harvey, J. Symb. Comput. 2009): a

@@ -145,11 +145,8 @@ class ColouredPermutation:
     def palette_star(self) -> frozenset[int]:
         return frozenset(e.colour for e in self.entries if e.colour != 0)
 
-    def relabel(self, symbol_map, colour_map=None) -> "ColouredPermutation":
-        """Apply maps to symbols and (optionally) nonzero colours."""
-        if colour_map is None:
-            return ColouredPermutation(
-                (symbol_map[e.symbol], e.colour) for e in self.entries)
+    def relabel(self, symbol_map, colour_map) -> "ColouredPermutation":
+        """Apply maps to symbols and to nonzero colours."""
         return ColouredPermutation(
             (symbol_map[e.symbol],
              colour_map[e.colour] if e.colour != 0 else 0)

@@ -8,30 +8,33 @@ descent, of the monomials x_{i_1}^(c_1) ... x_{i_n}^(c_n).
 
 psi_m specialises x_i^(0) -> x^(i-1) p_0 for i <= m and
 x_i^(j) -> x^(i-1) p_j for 1 < i <= m (all other variables, including every
-x_1^(j) with j >= 1, go to zero); ``psi_series`` gives psi_1, ..., psi_m in
-one pass over the expansion.  Summing psi_m against t^(m-1) over m
-recovers, per permutation class, the closed form
+x_1^(j) with j >= 1, go to zero).  Each surviving monomial of F_a goes to
+p^col times a power of x, so ``psi_rows`` counts psi_1(F_a), ..., psi_m(F_a)
+over index sequences without expanding F_a.  Summing psi_m against t^(m-1)
+over m recovers, per permutation class, the closed form
 
     p^col x^comaj t^des / ((1-t)(1-xt)...(1-x^n t)),
 
-which ``psi_closed_form_check`` verifies through a given t-order.
+which ``psi_closed_form_check`` verifies through a given t-order, each side
+a dense table of x-coefficients with one packed row per power of t.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from typing import Sequence
 
 from .errors import ColourOutOfRange, SymbolOverlap
-from .mpoly import MPoly, Monomial, monomial, monomial_mul
+from .mpoly import MPoly, Monomial, monomial_mul
 from .permutations import (ColouredPermutation, descent_set, s_des_raw,
                            shuffles, stat_triple)
-from .shuffle_algebra import HImage, X_VAR, p_var
 
 __all__ = [
     "TruncatedQSym",
     "expand_F",
     "verify_product_rule",
-    "psi_series",
+    "psi_rows",
     "psi_closed_form_check",
 ]
 
@@ -131,54 +134,52 @@ def verify_product_rule(a: ColouredPermutation, b: ColouredPermutation,
     return fundamental(a) * fundamental(b) == MPoly(total)
 
 
-def psi_series(F: TruncatedQSym, cutoff: int) -> list[MPoly]:
-    """[psi_1(F), ..., psi_cutoff(F)]; requires F.m >= cutoff so that every
-    surviving monomial (all indices <= cutoff) is present in the truncation.
+def psi_rows(strict: frozenset[int], colours: Sequence[int], m: int,
+             bits: int) -> list[int]:
+    """psi_1(F_a) / p^col, ..., psi_m(F_a) / p^col for the coloured
+    permutation a with descent set ``strict`` and colour word ``colours``,
+    each packed into one int whose digit j in base 2^bits is the coefficient
+    of x^j.  No coefficient may reach 2^bits; C(m+n-1, n) bounds them all.
 
-    Each monomial of F is specialised once and filed under its largest
-    index M (the index of its last variable, as variables are sorted);
-    psi_m is the sum of the files for M <= m."""
-    if cutoff < 1:
-        raise ValueError("m must be >= 1")
-    if F.m < cutoff:
-        raise ValueError(f"truncation cutoff {F.m} is below m = {cutoff}")
-    files: list[dict[Monomial, int]] = [{} for _ in range(cutoff)]
-    targets: dict[tuple, Monomial] = {}  # (colour exponents, x exponent)
-    for mono, coeff in F.poly.coeffs.items():
-        top = mono[-1][0][1] if mono else 1
-        if top > cutoff:
-            continue
-        x_exp = 0
-        p_exps: dict[int, int] = {}
-        for (_, index, colour), exp in mono:
-            if index == 1 and colour >= 1:
-                break
-            x_exp += (index - 1) * exp
-            p_exps[colour] = p_exps.get(colour, 0) + exp
-        else:
-            key = (tuple(p_exps.items()), x_exp)
-            target = targets.get(key)
-            if target is None:
-                target = targets[key] = monomial(
-                    *[(p_var(c), e) for c, e in key[0]], (X_VAR, x_exp))
-            file = files[top - 1]
-            file[target] = file.get(target, 0) + coeff
-    out = []
-    running: dict[Monomial, int] = {}
-    for file in files:
-        for mono, coeff in file.items():
-            running[mono] = running.get(mono, 0) + coeff
-        out.append(MPoly(running))
-    return out
+    After each letter, entry i sums x^((i_1 - 1) + ... + (i_k - 1)) over the
+    prefixes with last index at most i + 1.  A letter takes index i + 1
+    after a prefix ending at or (after a descent) strictly below it; psi
+    sends a coloured variable of index 1 to zero."""
+    sums = [1] * m  # the empty prefix
+    for pos, colour in enumerate(colours):
+        # position 0 of the descent set is not between two letters
+        step = pos > 0 and pos in strict
+        run = below = 0
+        for i in range(m):
+            here = sums[i]
+            if i or not colour:
+                run += (below if step else here) << (bits * i)
+            below = here
+            sums[i] = run
+    return sums
 
 
 def psi_closed_form_check(a: ColouredPermutation, t_order: int) -> bool:
     """Compare sum_m psi_m(F_a) t^(m-1) with the closed form
-    p^col x^comaj t^des / ((1-t)(1-xt)...(1-x^n t)) through t^t_order."""
+    p^col x^comaj t^des / ((1-t)(1-xt)...(1-x^n t)) through t^t_order.
+
+    Every term of both sides carries p^col, so the p-part is compared once,
+    as the letters' colour multiset against ``stat_triple``'s ``col``; the
+    rest as rows packed like ``psi_rows``.  The left side reads only the
+    descent set and colour word, the right side only ``stat_triple``."""
     st = stat_triple(a)
-    cutoff = t_order + 1
-    lhs = psi_series(expand_F(a, cutoff), cutoff)
-    numerator = MPoly.term(monomial(*[(p_var(c), k) for c, k in st.col],
-                                    (X_VAR, st.comaj)))
-    closed = HImage(numerator, st.des, tuple(range(len(a) + 1)))
-    return lhs == closed.series(t_order)
+    colours = [e.colour for e in a.entries]
+    if tuple(sorted(Counter(colours).items())) != st.col:
+        return False
+    n, m = len(colours), t_order + 1
+    # C(t_order+n, n) counts the index sequences of the left side and the
+    # multisets of denominator factors behind a coefficient of the right
+    bits = math.comb(m + n - 1, n).bit_length()
+    rows = [0] * m
+    if st.des < m:
+        rows[st.des] = 1 << (bits * st.comaj)
+    for i in range(n + 1):
+        # divide by 1 - x^i t: b_k += x^i b_(k-1), upwards in k
+        for k in range(st.des + 1, m):
+            rows[k] += rows[k - 1] << (bits * i)
+    return psi_rows(descent_set(a), colours, m, bits) == rows

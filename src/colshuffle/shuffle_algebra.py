@@ -129,10 +129,6 @@ class HImage:
         return divide_by_factors(
             coeffs, [(1, monomial((X_VAR, i))) for i in self.denom_powers])
 
-    def leading_term(self) -> tuple[int, MPoly]:
-        """The lowest t-degree and its coefficient (numerator itself)."""
-        return self.t_power, self.numerator
-
     def to_latex(self) -> str:
         num_parts = []
         mono_items = list(self.numerator.coeffs.items())

@@ -49,17 +49,21 @@ def _check_bounds(**bounds: int) -> None:
 
 
 # The exhaustive psi and qsym suites enumerate every coloured permutation of
-# length <= max_len (every pair of them for qsym), and expand F for up to n
-# letters at index cutoff m in up to C(m+n-1, n) monomials, over m indices.
-# Both counts are capped here; the acceptance bounds need 2,128 words and
-# 495 monomials (psi), and 484 pairs and 35 monomials (qsym).
+# length <= max_len (every pair of them for qsym).  Per case, qsym expands F
+# for up to n = 2 * max_len letters at index cutoff m in up to C(m+n-1, n)
+# monomials; psi fills, for each of n = max_len letters, m = t_order + 1
+# rows of up to n * m digits, a table of n * m * (n * m) (at least m, for
+# the empty word).  Both counts are capped here; the acceptance bounds need
+# 2,128 words and a table of 1,296 (psi), and 484 pairs and 35 monomials
+# (qsym).
 MAX_SUITE_SIZE = 1_000_000
 
 
 def _check_suite_size(max_len: int, colours: int, *, pairs: bool,
-                      letters: int, cutoff: int) -> None:
+                      size: int, what: str) -> None:
     """Raise ``BadParameters`` when the words (or pairs of words) a suite
-    enumerates, or its largest expansion, exceed ``MAX_SUITE_SIZE``."""
+    enumerates, or the ``size`` of its largest case (``what``, named in the
+    error), exceed ``MAX_SUITE_SIZE``."""
     words = term = 1
     for n in range(1, max_len + 1):
         term *= n * colours
@@ -68,11 +72,9 @@ def _check_suite_size(max_len: int, colours: int, *, pairs: bool,
             raise BadParameters(
                 f"max_len {max_len} with {colours} colours enumerates more "
                 f"than {MAX_SUITE_SIZE} {'word pairs' if pairs else 'words'}")
-    monomials = max(math.comb(cutoff + letters - 1, letters), cutoff)
-    if monomials > MAX_SUITE_SIZE:
-        raise BadParameters(
-            f"index cutoff {cutoff} with {letters} letters exceeds the cap "
-            f"of {MAX_SUITE_SIZE} on the expansion size")
+    if size > MAX_SUITE_SIZE:
+        raise BadParameters(f"{what} ({size}) exceeds the cap of "
+                            f"{MAX_SUITE_SIZE}")
 
 
 _POOL = 6  # symbols each operand of random_coherent_pair draws from
@@ -165,8 +167,10 @@ def qsym_suite(max_len: int = 2, cutoff: int = 4, colours: int = 3) -> dict:
     """Exhaustive product rule for fundamental expansions: F_a * F_b equals
     the sum of F_c over shuffles, for all disjoint pairs up to the bounds."""
     _check_bounds(max_len=max_len, cutoff=cutoff, colours=colours)
-    _check_suite_size(max_len, colours, pairs=True, letters=2 * max_len,
-                      cutoff=cutoff)
+    n = 2 * max_len
+    _check_suite_size(max_len, colours, pairs=True,
+                      size=max(math.comb(cutoff + n - 1, n), cutoff),
+                      what=f"the expansion of {n} letters at cutoff {cutoff}")
     cases = 0
     failures = []
     expansions: dict = {}
@@ -186,8 +190,11 @@ def psi_suite(max_len: int = 4, t_order: int = 8, colours: int = 3) -> dict:
     """Exhaustive check of the specialisation closed form, one permutation
     per coloured-descent-set class."""
     _check_bounds(max_len=max_len, t_order=t_order, colours=colours)
-    _check_suite_size(max_len, colours, pairs=False, letters=max_len,
-                      cutoff=t_order + 1)
+    m = t_order + 1
+    _check_suite_size(max_len, colours, pairs=False,
+                      size=max((max_len * m) ** 2, m),
+                      what=f"the table of {max_len} letters at t_order "
+                           f"{t_order}")
     cases = 0
     failures = []
     for n in range(0, max_len + 1):

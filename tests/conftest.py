@@ -29,6 +29,11 @@ def laurent_polys(draw, max_terms=4, exp_range=4):
     return LaurentPoly(terms)
 
 
+def relabel_symbols(p, symbol_map):
+    """``p`` with each symbol s replaced by symbol_map[s], colours kept."""
+    return ColouredPermutation((symbol_map[s], c) for s, c in p.entries)
+
+
 def assert_no_zero_stored(*polys):
     """No polynomial keeps a zero coefficient in its dict."""
     for p in polys:

@@ -237,6 +237,22 @@ def test_hadamard_over_the_shuffle_cap(tmp_path, capsys):
     assert "1662804" in err
 
 
+def test_psi_transfer_table_cap(capsys):
+    # 4 letters at m = 251 indices: (4 * 251)^2 = 1,008,016 > 1,000,000
+    code, out, err = run(capsys, "verify", "psi", "--max-len", "4",
+                         "--t-order", "250", "--colours", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1008016" in err
+    # at m = 250 the table is exactly the cap, and the suite runs
+    code, out, _ = run(capsys, "verify", "psi", "--max-len", "4",
+                       "--t-order", "249", "--colours", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["cases"] == 16 and report["failures"] == []
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

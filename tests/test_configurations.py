@@ -9,7 +9,7 @@ from colshuffle import (BadParameters, ColouredConfiguration, Label,
                         evaluate_label, make_strongly_disjoint, merge_labels,
                         parse_labelled_configuration, parse_permutation,
                         shuffles, stat_triple)
-from conftest import coloured_permutations
+from conftest import coloured_permutations, relabel_symbols
 
 P = parse_permutation
 
@@ -24,7 +24,8 @@ def labelled_configurations(draw, symbol_pool, max_support=3, max_len=3):
         coloured_permutations(max_len=max_len, symbol_pool=6),
         min_size=1, max_size=max_support))
     offset = min(symbol_pool) - 1
-    perms = [p.relabel({s: s + offset for s in p.symbols()}) for p in perms]
+    perms = [relabel_symbols(p, {s: s + offset for s in p.symbols()})
+             for p in perms]
     config = ColouredConfiguration((p, draw(st.integers(1, 2))) for p in perms)
     label = Label({
         c: SignedMonomial(draw(st.sampled_from((1, -1))), draw(st.integers(-3, 3)))
@@ -98,7 +99,7 @@ def test_config_shuffle_unit_and_counts():
     assert config_shuffle(f, unit) == f
     g = config_of("3^0 4^2")
     import math
-    assert (config_shuffle(f, g).total_multiplicity()
+    assert (sum(m for _, m in config_shuffle(f, g))
             == 3 * math.comb(4, 2))
 
 

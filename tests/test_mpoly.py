@@ -54,8 +54,9 @@ signed_monomials = st.dictionaries(
 
 @given(signed_monomials, signed_monomials)
 def test_monomial_mul_is_the_dict_and_sort_product(a, b):
-    """One-variable right operands are spliced in, others take the dict
-    path: both give the reference product, one variable at a time too."""
+    """One-variable right operands are spliced in, others are merged with
+    the left operand: both give the reference product, one variable at a
+    time too."""
     assert monomial_mul(a, b) == dict_and_sort_product(a, b)
     for pair in b:
         assert monomial_mul(a, (pair,)) == dict_and_sort_product(a, (pair,))
@@ -73,6 +74,19 @@ def test_monomial_mul_splices_one_variable(var, exp):
     a = ((("p", 1), 1), (("x",), 1), (("x", 1, 0), 1), (("x", 3, 1), 2))
     assert monomial_mul(a, ((var, exp),)) == dict_and_sort_product(
         a, ((var, exp),))
+
+
+@pytest.mark.parametrize("b", [
+    ((("p", 0), 1), (("z",), 1)),                  # around every variable of a
+    ((("p", 2), 1), (("x", 1, 2), 3)),             # between them
+    ((("p", 1), -1), (("x",), 2), (("z",), 1)),    # a cancel, a sum, a tail
+    ((("p", 1), -1), (("x",), -1), (("x", 1, 0), -1), (("x", 3, 1), -2)),
+    ((("x", 1, 0), 1), (("x", 3, 1), -2)),         # a's head is the tail
+])
+def test_monomial_mul_merges_several_variables(b):
+    a = ((("p", 1), 1), (("x",), 1), (("x", 1, 0), 1), (("x", 3, 1), 2))
+    for left, right in ((a, b), (b, a)):
+        assert monomial_mul(left, right) == dict_and_sort_product(left, right)
 
 
 @given(mpolys(), mpolys(), mpolys())

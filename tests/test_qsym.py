@@ -1,19 +1,20 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import colshuffle.qsym as qsym
 from colshuffle import (ColourOutOfRange, MPoly, SymbolOverlap, expand_F,
-                        parse_permutation, psi_closed_form_check,
-                        psi_series, s_des, shuffles, verify_product_rule)
-from colshuffle.mpoly import monomial
-from colshuffle.qsym import TruncatedQSym, qvar
+                        parse_permutation, psi_closed_form_check, s_des,
+                        shuffles, stat_triple, verify_product_rule)
+from colshuffle.mpoly import Monomial, monomial
+from colshuffle.qsym import TruncatedQSym, psi_rows, qvar
 from colshuffle.shuffle_algebra import X_VAR, p_var
 from colshuffle.permutations import (all_coloured_permutations, descent_set,
                                      s_des_raw)
-from colshuffle.verify import qsym_suite
-from conftest import coloured_permutations
+from colshuffle.verify import psi_suite, qsym_suite
+from conftest import coloured_permutations, relabel_symbols
 
 P = parse_permutation
 
@@ -57,6 +58,48 @@ def psi_by_direct_enumeration(a, m):
 
     start = 2 if 0 in des else 1
     rec(0, start, 0)
+    return out
+
+
+def psi_series(F: TruncatedQSym, cutoff: int) -> list[MPoly]:
+    """[psi_1(F), ..., psi_cutoff(F)] from the monomial expansion; requires
+    F.m >= cutoff so that every surviving monomial (all indices <= cutoff)
+    is present in the truncation.
+
+    Each monomial of F is specialised once and filed under its largest
+    index M (the index of its last variable, as variables are sorted);
+    psi_m is the sum of the files for M <= m."""
+    if cutoff < 1:
+        raise ValueError("m must be >= 1")
+    if F.m < cutoff:
+        raise ValueError(f"truncation cutoff {F.m} is below m = {cutoff}")
+    files: list[dict[Monomial, int]] = [{} for _ in range(cutoff)]
+    targets: dict[tuple, Monomial] = {}  # (colour exponents, x exponent)
+    for mono, coeff in F.poly.coeffs.items():
+        top = mono[-1][0][1] if mono else 1
+        if top > cutoff:
+            continue
+        x_exp = 0
+        p_exps: dict[int, int] = {}
+        for (_, index, colour), exp in mono:
+            if index == 1 and colour >= 1:
+                break
+            x_exp += (index - 1) * exp
+            p_exps[colour] = p_exps.get(colour, 0) + exp
+        else:
+            key = (tuple(p_exps.items()), x_exp)
+            target = targets.get(key)
+            if target is None:
+                target = targets[key] = monomial(
+                    *[(p_var(c), e) for c, e in key[0]], (X_VAR, x_exp))
+            file = files[top - 1]
+            file[target] = file.get(target, 0) + coeff
+    out = []
+    running: dict[Monomial, int] = {}
+    for file in files:
+        for mono, coeff in file.items():
+            running[mono] = running.get(mono, 0) + coeff
+        out.append(MPoly(running))
     return out
 
 
@@ -153,7 +196,7 @@ def test_expand_F_depends_only_on_coloured_descents(a, b, m):
     if len(a) == len(b) and s_des(a) == s_des(b):
         assert expand_F(a, m, r=3) == expand_F(b, m, r=3)
     # and a permutation always agrees with itself relabelled
-    relabelled = a.relabel({s: s + 5 for s in a.symbols()})
+    relabelled = relabel_symbols(a, {s: s + 5 for s in a.symbols()})
     assert expand_F(a, m, r=3) == expand_F(relabelled, m, r=3)
 
 
@@ -171,7 +214,7 @@ def test_product_rule_examples():
        coloured_permutations(max_len=2, max_colour=2, symbol_pool=4))
 def test_product_rule_random_pairs(a, b):
     if a.symbols() & b.symbols():
-        b = b.relabel({s: s + 10 for s in b.symbols()})
+        b = relabel_symbols(b, {s: s + 10 for s in b.symbols()})
     assert verify_product_rule(a, b, 4)
 
 
@@ -196,7 +239,7 @@ def test_qsym_suite_expands_each_class_once(monkeypatch):
 def test_product_rule_shared_expansions(cases):
     expansions = {}
     for a, b, m in cases:
-        b = b.relabel({s: s + 10 for s in b.symbols()})
+        b = relabel_symbols(b, {s: s + 10 for s in b.symbols()})
         assert (verify_product_rule(a, b, m, expansions)
                 == verify_product_rule(a, b, m))
         for c in [a, b, *shuffles(a, b)]:
@@ -253,7 +296,7 @@ def test_psi_matches_direct_enumeration(a, m):
        st.integers(1, 3))
 def test_psi_is_multiplicative(a, b, m):
     if a.symbols() & b.symbols():
-        b = b.relabel({s: s + 10 for s in b.symbols()})
+        b = relabel_symbols(b, {s: s + 10 for s in b.symbols()})
     r = 3
     F, G = expand_F(a, m, r), expand_F(b, m, r)
     assert (psi_series(F * G, m)[-1]
@@ -272,3 +315,73 @@ def test_closed_form_exhaustive_short():
     for n in range(0, 3):
         for a in all_coloured_permutations(n, 2):
             assert psi_closed_form_check(a, 6), str(a)
+
+
+# -- the transfer count --------------------------------------------------------------
+
+def descent_classes(max_len, colours):
+    """The first coloured permutation of each coloured descent set of
+    length <= max_len, in the order ``psi_suite`` checks them."""
+    for n in range(max_len + 1):
+        seen = set()
+        for a in all_coloured_permutations(n, colours):
+            if s_des(a) not in seen:
+                seen.add(s_des(a))
+                yield a
+
+
+def psi_by_transfer_count(a, m):
+    """``psi_rows`` unpacked: each row's digits as x-coefficients, times
+    p^col read from the letters."""
+    n = len(a)
+    bits = math.comb(m + n - 1, n).bit_length()
+    colours = [c for _, c in a.entries]
+    col = {}
+    for c in colours:
+        col[c] = col.get(c, 0) + 1
+    p_part = [(p_var(c), k) for c, k in col.items()]
+    out = []
+    for row in psi_rows(descent_set(a), colours, m, bits):
+        coeffs = {}
+        for j in range(n * (m - 1) + 1):
+            digit = (row >> (bits * j)) & ((1 << bits) - 1)
+            coeffs[monomial(*p_part, (X_VAR, j))] = digit
+        assert row >> (bits * (n * (m - 1) + 1)) == 0
+        out.append(MPoly(coeffs))
+    return out
+
+
+@pytest.mark.parametrize("max_len,t_order,colours", [(4, 8, 3), (3, 12, 2)])
+def test_transfer_count_is_the_specialised_expansion(max_len, t_order,
+                                                     colours):
+    """Every class at the acceptance bounds and one longer t-order: the
+    rows of the transfer count are psi_1 .. psi_m of the expansion."""
+    m = t_order + 1
+    for a in descent_classes(max_len, colours):
+        assert psi_by_transfer_count(a, m) == psi_series(expand_F(a, m), m), \
+            str(a)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda st: st._replace(comaj=st.comaj + 1),
+    lambda st: st._replace(des=st.des + 1),
+    lambda st: st._replace(col=st.col + ((3, 1),)),
+], ids=["comaj", "des", "col"])
+def test_psi_suite_catches_a_wrong_statistic(monkeypatch, wrong):
+    monkeypatch.setattr(qsym, "stat_triple",
+                        lambda a: wrong(stat_triple(a)))
+    report = psi_suite(2, 6, 3)
+    assert len(report["failures"]) == report["cases"] == 16
+
+
+def test_psi_suite_catches_a_coloured_letter_at_index_one(monkeypatch):
+    """Without the rule that psi sends x_1^(j), j >= 1, to zero, exactly
+    the classes whose first letter is coloured fail: a coloured letter
+    after an uncoloured one follows a descent, so its index is 2 or more
+    anyway."""
+    monkeypatch.setattr(qsym, "psi_rows", lambda strict, colours, m, bits:
+                        psi_rows(strict, [0] * len(colours), m, bits))
+    report = psi_suite(2, 6, 3)
+    first_coloured = [{"a": str(a)} for a in descent_classes(2, 3)
+                      if a.entries and a.entries[0].colour]
+    assert first_coloured and report["failures"] == first_coloured
