@@ -46,8 +46,6 @@ def monomial(*pairs) -> Monomial:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
     if len(b) == 1:
         # splice b's one variable into a's sorted pairs
         var, exp = b[0]
@@ -59,27 +57,7 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
             e += exp
             return a[:i] + ((v, e),) + a[i + 1:] if e else a[:i] + a[i + 1:]
         return a + b
-    if not b:
-        return a
-    # merge the two sorted tuples
-    out = []
-    i = j = 0
-    len_a, len_b = len(a), len(b)
-    while i < len_a and j < len_b:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va < vb:
-            out.append(a[i])
-            i += 1
-        elif vb < va:
-            out.append(b[j])
-            j += 1
-        else:
-            if ea + eb:
-                out.append((va, ea + eb))
-            i += 1
-            j += 1
-    return (*out, *a[i:], *b[j:])
+    return monomial(*a, *b) if a and b else a or b
 
 
 # Kronecker substitution (Schoenhage 1982; Harvey, J. Symb. Comput. 2009): a

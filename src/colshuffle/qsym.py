@@ -4,7 +4,12 @@
 the doubly indexed variables x_i^(j) (i a positive index up to a cutoff m,
 j a colour below a cutoff r): the sum over weakly increasing index
 sequences i_1 <= ... <= i_n <= m that increase strictly at every interior
-descent, of the monomials x_{i_1}^(c_1) ... x_{i_n}^(c_n).
+descent, of the monomials x_{i_1}^(c_1) ... x_{i_n}^(c_n).  Its kernel
+writes each monomial as a sorted tuple of variable ids, x_i^(c) being
+c*m + i - 1 repeated once per unit of exponent, so that two monomials
+multiply as one sorted concatenation, with no exponent width or colour
+bound.  ``verify_product_rule`` checks F_a * F_b = sum of F_c over the
+shuffles c on these keys; ``expand_F`` decodes them into an ``MPoly``.
 
 psi_m specialises x_i^(0) -> x^(i-1) p_0 for i <= m and
 x_i^(j) -> x^(i-1) p_j for 1 < i <= m (all other variables, including every
@@ -26,9 +31,9 @@ from collections import Counter
 from typing import Sequence
 
 from .errors import ColourOutOfRange, SymbolOverlap
-from .mpoly import MPoly, Monomial, monomial_mul
-from .permutations import (ColouredPermutation, descent_set, s_des_raw,
-                           shuffles, stat_triple)
+from .mpoly import MPoly
+from .permutations import (ColouredPermutation, descent_data, descent_set,
+                           s_des_raw, shuffles, stat_triple)
 
 __all__ = [
     "TruncatedQSym",
@@ -76,6 +81,24 @@ class TruncatedQSym:
         return f"TruncatedQSym(m={self.m}, r={self.r}, deg={self.degree}, {self.poly!r})"
 
 
+def _expansion(sdes: tuple, m: int) -> list[tuple[int, ...]]:
+    """The monomials of F_a at cutoff m, for the coloured descent set
+    ``sdes`` of a: each a sorted tuple of variable ids, x_i^(c) being
+    c*m + i - 1 repeated once per unit of exponent.  Distinct index
+    sequences give distinct monomials, so every coefficient is 1.
+
+    One level per letter holds (ids so far, least index of the next
+    letter); a letter after a descent takes a strictly larger index."""
+    strict, colours = descent_data(sdes)
+    level: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    for pos, c in enumerate(colours, 1):
+        step = pos in strict
+        base = c * m - 1
+        level = [(key + (base + i,), i + step)
+                 for key, lo in level for i in range(lo, m + 1)]
+    return [tuple(sorted(key)) for key, _ in level]
+
+
 def expand_F(a: ColouredPermutation, m: int, r: int | None = None) -> TruncatedQSym:
     """Monomial expansion of the fundamental function of ``a`` truncated to
     variable indices <= m.  ``r`` defaults to (max colour of a) + 1."""
@@ -86,24 +109,10 @@ def expand_F(a: ColouredPermutation, m: int, r: int | None = None) -> TruncatedQ
         raise ColourOutOfRange(f"colour >= {r} present")
     if m < 1:
         raise ValueError("cutoff m must be >= 1")
-    strict = descent_set(a)
-    # one level per letter: (monomial so far, its last index, the least
-    # index of the next letter); a rising index sorts after every variable
-    # before it, an equal one is spliced in
-    level: list[tuple[Monomial, int, int]] = [((), 0, 1)]
-    for pos, c in enumerate(colours, 1):
-        step = pos in strict
-        grown = []
-        for mono, last, lo in level:
-            if lo == last:
-                grown.append((monomial_mul(mono, ((qvar(lo, c), 1),)),
-                              lo, lo + step))
-                lo += 1
-            grown += [(mono + ((qvar(i, c), 1),), i, i + step)
-                      for i in range(lo, m + 1)]
-        level = grown
-    return TruncatedQSym(MPoly(Counter(mono for mono, _, _ in level)), m, r,
-                         len(colours))
+    monos = Counter(tuple(sorted([(qvar(k % m + 1, k // m), key.count(k))
+                                  for k in set(key)]))
+                    for key in _expansion(s_des_raw(a.entries), m))
+    return TruncatedQSym(MPoly(monos), m, r, len(colours))
 
 
 def verify_product_rule(a: ColouredPermutation, b: ColouredPermutation,
@@ -112,26 +121,34 @@ def verify_product_rule(a: ColouredPermutation, b: ColouredPermutation,
     truncated at cutoff m (truncation commutes with the product, so this
     compares every monomial in variables with index <= m).
 
-    F depends only on the coloured descent set, so expansions are looked up
-    in ``expansions`` by (coloured descent set, m); a caller checking many
-    pairs passes one dict to expand each class once."""
+    F depends only on the coloured descent set, so ``expansions`` keeps
+    each class's monomials under (coloured descent set, m) and each product
+    F_a * F_b under (sDes(a), sDes(b), m); a caller checking many pairs
+    passes one dict.  The right side is summed afresh for every pair, from
+    the count of its own shuffles in each class."""
     if a.symbols() & b.symbols():
         raise SymbolOverlap("operands share a symbol")
     if expansions is None:
         expansions = {}
 
-    def fundamental(c: ColouredPermutation) -> MPoly:
-        key = (s_des_raw(c.entries), m)
-        poly = expansions.get(key)
-        if poly is None:
-            poly = expansions[key] = expand_F(c, m).poly
-        return poly
+    def fundamental(sdes: tuple) -> list[tuple[int, ...]]:
+        keys = expansions.get((sdes, m))
+        if keys is None:
+            keys = expansions[sdes, m] = _expansion(sdes, m)
+        return keys
 
-    total: dict[Monomial, int] = {}
-    for c in shuffles(a, b):
-        for mono, coeff in fundamental(c).coeffs.items():
-            total[mono] = total.get(mono, 0) + coeff
-    return fundamental(a) * fundamental(b) == MPoly(total)
+    da, db = s_des_raw(a.entries), s_des_raw(b.entries)
+    fa, fb = fundamental(da), fundamental(db)
+    product = expansions.get((da, db, m))
+    if product is None:
+        product = expansions[da, db, m] = Counter(
+            tuple(sorted(ka + kb)) for ka in fa for kb in fb)
+    total: dict[tuple[int, ...], int] = {}
+    for sdes, count in Counter(s_des_raw(c.entries)
+                               for c in shuffles(a, b)).items():
+        for key in fundamental(sdes):
+            total[key] = total.get(key, 0) + count
+    return total == product
 
 
 def psi_rows(strict: frozenset[int], colours: Sequence[int], m: int,

@@ -49,9 +49,10 @@ def _check_bounds(**bounds: int) -> None:
 
 
 # The exhaustive psi and qsym suites enumerate every coloured permutation of
-# length <= max_len (every pair of them for qsym).  Per case, qsym expands F
-# for up to n = 2 * max_len letters at index cutoff m in up to C(m+n-1, n)
-# monomials; psi fills, for each of n = max_len letters, m = t_order + 1
+# length <= max_len (every pair of them for qsym).  qsym expands F once per
+# coloured descent class, for up to n = 2 * max_len letters at index cutoff
+# m in up to C(m+n-1, n) monomials, and forms F_a * F_b once per pair of
+# classes; psi fills, for each of n = max_len letters, m = t_order + 1
 # rows of up to n * m digits, a table of n * m * (n * m) (at least m, for
 # the empty word).  Both counts are capped here; the acceptance bounds need
 # 2,128 words and a table of 1,296 (psi), and 484 pairs and 35 monomials

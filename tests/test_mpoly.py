@@ -54,9 +54,9 @@ signed_monomials = st.dictionaries(
 
 @given(signed_monomials, signed_monomials)
 def test_monomial_mul_is_the_dict_and_sort_product(a, b):
-    """One-variable right operands are spliced in, others are merged with
-    the left operand: both give the reference product, one variable at a
-    time too."""
+    """One-variable right operands are spliced in, others go through
+    ``monomial``: both give the reference product, one variable at a time
+    too."""
     assert monomial_mul(a, b) == dict_and_sort_product(a, b)
     for pair in b:
         assert monomial_mul(a, (pair,)) == dict_and_sort_product(a, (pair,))

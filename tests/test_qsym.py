@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -218,14 +219,74 @@ def test_product_rule_random_pairs(a, b):
     assert verify_product_rule(a, b, 4)
 
 
+def suite_pairs(max_len, colours):
+    """Every (a, b) pair ``qsym_suite`` checks, in its order."""
+    for n in range(max_len + 1):
+        for k in range(max_len + 1):
+            for a in all_coloured_permutations(n, colours):
+                for b in all_coloured_permutations(k, colours,
+                                                   first_symbol=n + 1):
+                    yield a, b
+
+
+def product_rule_by_monomials(a, b, m, expansions=None):
+    """Oracle for the product rule: F_a * F_b as an ``MPoly`` product of
+    (variable, exponent) monomials, against the sum of F_c over every
+    shuffle c, each expansion read off the index sequences and shared per
+    (coloured descent set, m) in ``expansions``."""
+    if expansions is None:
+        expansions = {}
+
+    def fundamental(c):
+        key = (s_des_raw(c.entries), m)
+        if key not in expansions:
+            expansions[key] = expand_F_by_index_sequences(c, m).poly
+        return expansions[key]
+
+    total = {}
+    for c in shuffles(a, b):
+        for mono, coeff in fundamental(c).coeffs.items():
+            total[mono] = total.get(mono, 0) + coeff
+    return fundamental(a) * fundamental(b) == MPoly(total)
+
+
+def decode(keys, m):
+    """A cached expansion (a list of id monomials, x_i^(c) being id
+    c*m + i - 1) or a cached product ({id monomial: coefficient}) as an
+    ``MPoly`` in the variables ``qvar``."""
+    counts = keys if isinstance(keys, dict) else Counter(keys)
+    return MPoly({monomial(*[(qvar(k % m + 1, k // m), 1) for k in key]): c
+                  for key, c in counts.items()})
+
+
+def test_product_rule_matches_monomial_oracle():
+    """The same verdict as the oracle on every pair of
+    ``qsym_suite(2, 3, 2)``, on a pile-up of one variable (x_1^(0) to the
+    power 4 at cutoff 1) and on mixed-colour pairs at cutoff 50."""
+    shared, oracle_shared = {}, {}
+    for a, b in suite_pairs(2, 2):
+        assert (verify_product_rule(a, b, 3, shared)
+                == product_rule_by_monomials(a, b, 3, oracle_shared)), (a, b)
+    for a, b, m in [(P("1 2"), P("3 4"), 1), (P("2 1"), P("3 4"), 1),
+                    (P("1^1 2^0"), P("3^2"), 50), (P("1^2"), P("2^1"), 50)]:
+        expansions = {}
+        assert (verify_product_rule(a, b, m, expansions)
+                == product_rule_by_monomials(a, b, m))
+        # x_1^(0) with exponent 4 is the product's one monomial for 1 2
+        # and 3 4 at cutoff 1; 2 1 must rise, so it has none there
+        assert expansions[s_des(a), s_des(b), m].get((0, 0, 0, 0), 0) == (
+            m == 1 and a == P("1 2"))
+
+
 def test_qsym_suite_expands_each_class_once(monkeypatch):
     calls = []
+    expansion = qsym._expansion
 
-    def counted(a, m, r=None):
-        calls.append((s_des(a), m))
-        return expand_F(a, m, r)
+    def counted(sdes, m):
+        calls.append((sdes, m))
+        return expansion(sdes, m)
 
-    monkeypatch.setattr(qsym, "expand_F", counted)
+    monkeypatch.setattr(qsym, "_expansion", counted)
     report = qsym_suite(max_len=2, cutoff=3, colours=2)
     assert report["failures"] == []
     assert len(calls) == len(set(calls)) == 81
@@ -243,8 +304,10 @@ def test_product_rule_shared_expansions(cases):
         assert (verify_product_rule(a, b, m, expansions)
                 == verify_product_rule(a, b, m))
         for c in [a, b, *shuffles(a, b)]:
-            assert expansions[(s_des_raw(c.entries), m)] == \
+            assert decode(expansions[s_des_raw(c.entries), m], m) == \
                 expand_F(c, m).poly
+        assert decode(expansions[s_des(a), s_des(b), m], m) == \
+            expand_F(a, m).poly * expand_F(b, m).poly
 
 
 def test_qsym_suite_catches_a_dropped_shuffle(monkeypatch):
@@ -254,6 +317,27 @@ def test_qsym_suite_catches_a_dropped_shuffle(monkeypatch):
     # strictly three times, so it has no monomial at cutoff 3
     assert len(report["failures"]) == report["cases"] - 1 == 120
     assert {"a": "2^0 1^0", "b": "4^1 3^1"} not in report["failures"]
+
+
+@pytest.mark.parametrize("word", ["1^1", "1^0 2^1", "2 4 1 3"])
+def test_qsym_suite_catches_a_dropped_monomial(monkeypatch, word):
+    """One monomial missing from one class's expansion fails exactly the
+    pairs where that class is F_a, F_b or the class of a shuffle, except
+    those with an empty operand: there F_b = 1 and the one shuffle is a
+    itself (or the other way round), so both sides lose the monomial."""
+    planted = s_des(P(word))
+    expansion = qsym._expansion
+
+    def dropped(sdes, m):
+        keys = expansion(sdes, m)
+        return keys[1:] if sdes == planted else keys
+
+    monkeypatch.setattr(qsym, "_expansion", dropped)
+    report = qsym_suite(max_len=2, cutoff=3, colours=2)
+    touched = [{"a": str(a), "b": str(b)} for a, b in suite_pairs(2, 2)
+               if len(a) and len(b) and planted in
+               {s_des(a), s_des(b), *map(s_des, shuffles(a, b))}]
+    assert touched and report["failures"] == touched
 
 
 # -- the specialisations -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -10,6 +11,7 @@ from colshuffle import (BadParameters, DeltaMismatch, Label,
                         expand, hadamard_entries, hadamard_f2d, hadamard_mde,
                         hadamard_ud,
                         parse_permutation, pi_of, scale_y, underline, w_of)
+from colshuffle.permutations import stat_triple_raw
 from colshuffle.zeta import FAMILY_PARAMS
 
 P = parse_permutation
@@ -223,12 +225,49 @@ def test_mde_errors():
 
 # -- the colouring sums, as the oracle of the direct formulas ----------------
 
+@functools.cache
+def colouring_statistics(n):
+    """For each word of S_n, the (des, comaj, coloured symbols) of each of
+    its colourings in ``pi_of``, with its multiplicity.  Built once per n:
+    between block lists only the label changes."""
+    table = {}
+    for p, mult in pi_of(itertools.permutations(range(1, n + 1))).terms:
+        des, comaj, _ = stat_triple_raw(p.entries)
+        table.setdefault(tuple(s for s, _ in p.entries), []).append(
+            (des, comaj, [s for s, c in p.entries if c], mult))
+    return table
+
+
 def colouring_sum(words, exponents, delta):
     """W, with eps = delta, of all colourings of ``words`` (entry s coloured
-    0 or s) under the label s -> -X^(exponents[s-1])."""
-    label = Label({s: SignedMonomial(-1, k)
-                   for s, k in enumerate(exponents, start=1)})
-    return w_of(LabelledConfiguration(pi_of(words), label), delta)
+    0 or s) under the label s -> -X^(exponents[s-1]), summed from the
+    definition: a coloured word contributes its sign * Y^des *
+    X^(label exponent + delta * comaj) over prod_(i <= n) (1 - X^(delta*i) Y).
+    """
+    table = colouring_statistics(len(exponents))
+    numerator = {}
+    for word in words:
+        for des, comaj, coloured, mult in table[tuple(word)]:
+            row = numerator.setdefault(des, {})
+            x = delta * comaj + sum(exponents[s - 1] for s in coloured)
+            row[x] = row.get(x, 0) + mult * (-1) ** len(coloured)
+    return RationalGF({des: LaurentPoly(c) for des, c in numerator.items()},
+                      [(1, delta * i) for i in range(len(exponents) + 1)])
+
+
+def test_colouring_sum_is_w_of_the_colourings():
+    """The oracle's sum is ``w_of`` of the ``pi_of`` configuration under
+    the same label, for whole symmetric groups and for a subset of words."""
+    cases = [(itertools.permutations(range(1, n + 1)), es, delta)
+             for n, es in enumerate([[], [-1], [-2, 0], [-1, -3, -2]])
+             for delta in (-1, 0, 2)]
+    cases.append(([(1, 2, 3, 4), (3, 1, 4, 2), (2, 4, 1, 3)], [-1] * 4, 0))
+    for words, es, delta in cases:
+        words = list(words)
+        label = Label({s: SignedMonomial(-1, k)
+                       for s, k in enumerate(es, start=1)})
+        assert colouring_sum(words, es, delta) == w_of(
+            LabelledConfiguration(pi_of(words), label), delta)
 
 
 def block_lists(values, max_blocks=5):
