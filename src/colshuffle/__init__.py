@@ -32,8 +32,7 @@ from .shuffle_algebra import (STATISTICS, CompatReport, HImage,
                               h_tilde_map, hadamard_general,
                               hadamard_identity, hadamard_iterated,
                               hadamard_via_theorem)
-from .qsym import (TruncatedQSym, expand_F, psi_closed_form_check,
-                   verify_product_rule)
+from .qsym import expand_F, psi_closed_form_check, verify_product_rule
 from .zeta import (FAMILY_PARAMS, F2dFormula, UdFormula, ZetaEntry,
                    ZetaHadamardResult, build_entry, hadamard_entries,
                    hadamard_f2d, hadamard_mde, hadamard_ud, pi_of, underline)

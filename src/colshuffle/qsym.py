@@ -36,7 +36,6 @@ from .permutations import (ColouredPermutation, descent_data, descent_set,
                            s_des_raw, shuffles, stat_triple)
 
 __all__ = [
-    "TruncatedQSym",
     "expand_F",
     "verify_product_rule",
     "psi_rows",
@@ -47,38 +46,6 @@ __all__ = [
 def qvar(index: int, colour: int) -> tuple:
     """The variable x_index^(colour)."""
     return ("x", index, colour)
-
-
-class TruncatedQSym:
-    """A homogeneous polynomial truncation of a coloured quasisymmetric
-    function: only variables with index <= m and colour < r appear."""
-
-    __slots__ = ("poly", "m", "r", "degree")
-
-    def __init__(self, poly: MPoly, m: int, r: int, degree: int):
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "r", int(r))
-        object.__setattr__(self, "degree", int(degree))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedQSym is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedQSym)
-                and self.m == other.m and self.poly == other.poly)
-
-    def __hash__(self):
-        return hash((self.poly, self.m))
-
-    def __mul__(self, other: "TruncatedQSym") -> "TruncatedQSym":
-        if self.m != other.m:
-            raise ValueError("cutoffs differ")
-        return TruncatedQSym(self.poly * other.poly, self.m,
-                             max(self.r, other.r), self.degree + other.degree)
-
-    def __repr__(self):
-        return f"TruncatedQSym(m={self.m}, r={self.r}, deg={self.degree}, {self.poly!r})"
 
 
 def _expansion(sdes: tuple, m: int) -> list[tuple[int, ...]]:
@@ -99,20 +66,18 @@ def _expansion(sdes: tuple, m: int) -> list[tuple[int, ...]]:
     return [tuple(sorted(key)) for key, _ in level]
 
 
-def expand_F(a: ColouredPermutation, m: int, r: int | None = None) -> TruncatedQSym:
+def expand_F(a: ColouredPermutation, m: int, r: int | None = None) -> MPoly:
     """Monomial expansion of the fundamental function of ``a`` truncated to
-    variable indices <= m.  ``r`` defaults to (max colour of a) + 1."""
-    colours = [e.colour for e in a.entries]
-    if r is None:
-        r = max(colours, default=0) + 1
-    if any(c >= r for c in colours):
+    variable indices <= m, in the variables ``qvar``; a given colour bound
+    ``r`` must exceed every colour of ``a``."""
+    if r is not None and any(c >= r for _, c in a.entries):
         raise ColourOutOfRange(f"colour >= {r} present")
     if m < 1:
         raise ValueError("cutoff m must be >= 1")
     monos = Counter(tuple(sorted([(qvar(k % m + 1, k // m), key.count(k))
                                   for k in set(key)]))
                     for key in _expansion(s_des_raw(a.entries), m))
-    return TruncatedQSym(MPoly(monos), m, r, len(colours))
+    return MPoly(monos)
 
 
 def verify_product_rule(a: ColouredPermutation, b: ColouredPermutation,

@@ -406,16 +406,20 @@ def hadamard(rgfs: Sequence[RationalGF], eps: int) -> RationalGF:
     By the shuffle theorem, W's of max lengths n_1, ..., n_k multiply to the
     W denominator of N = n_1 + ... + n_k over a numerator of Y-degree <= N:
     the product series through Y^N times that denominator, multiplied in one
-    factor at a time and truncated at Y^N.  No operands give 1/(1-Y), a
-    zero operand 0, and a non-W denominator ``ValueError``.
+    factor at a time and truncated at Y^N.  Equal operands are expanded
+    once.  No operands give 1/(1-Y), a zero operand 0, and a non-W
+    denominator ``ValueError``.
     """
     lengths = [_w_length(r, eps) for r in rgfs]
     if None in lengths:
         return RationalGF.zero()
     n = sum(lengths)
-    series = expand(rgfs[0], n) if rgfs else SeriesY([LaurentPoly.one()])
-    for r in rgfs[1:]:
-        series = series.hadamard(expand(r, n))
+    distinct: dict[RationalGF, int] = {}  # each operand is hashed once
+    slots = [distinct.setdefault(r, len(distinct)) for r in rgfs]
+    expanded = [expand(r, n) for r in distinct]
+    series = expanded[slots[0]] if rgfs else SeriesY([LaurentPoly.one()])
+    for i in slots[1:]:
+        series = series.hadamard(expanded[i])
     denominator = _w_denominator(eps, n)
     numerator = multiply_by_factors(series.coefficients, denominator)
     return RationalGF(dict(enumerate(numerator)), denominator)

@@ -22,7 +22,7 @@ from .qsym import psi_closed_form_check, verify_product_rule
 from .ratfun import expand, w_of
 from .shuffle_algebra import (STATISTICS, check_shuffle_compatibility,
                               hadamard_general, hadamard_via_theorem)
-from .zeta import build_entry
+from .zeta import MAX_UNITRIANGULAR_D, build_entry
 
 __all__ = [
     "random_coherent_pair",
@@ -240,9 +240,14 @@ def compat_suite(max_total_len: int = 5, trials: int = 200, seed: int = 0,
 
 
 def catalog_suite(max_n: int = 4, max_d: int = 5) -> dict:
-    """Rebuild every catalog family over a parameter grid; each build
-    verifies the defining identity symbolically."""
+    """Build every catalog family over a parameter grid; each row's
+    defining identity is checked symbolically, once per process (a row
+    built earlier in the process was checked then).  ``max_d`` above
+    ``MAX_UNITRIANGULAR_D`` is refused before any row is built."""
     _check_bounds(max_n=max_n, max_d=max_d)
+    if max_d > MAX_UNITRIANGULAR_D:
+        raise BadParameters(f"max_d {max_d} is above {MAX_UNITRIANGULAR_D}, "
+                            f"the largest unitriangular_oc d")
     cases = 0
     failures = []
     grids = {

@@ -4,7 +4,8 @@ Each catalog family packages a configuration, a label, an exponent ``eps``
 and an argument shift ``u(X)`` such that the associated generating function,
 with Y rescaled by u(X) and X evaluated at the residue field size, equals a
 known zeta function.  The stored closed form is that rescaled function; it
-is recomputed from the configuration and compared at construction time.
+is recomputed from the configuration and compared when the row is first
+built in a process.
 
 Families (``d``, ``e``, ``n`` positive integers):
 
@@ -20,7 +21,7 @@ Families (``d``, ``e``, ``n`` positive integers):
                        on 4n+7 vertices
     Tn_cc n            its class-counting variant
     unitriangular_oc d orbit counting for upper unitriangular (d+1) x (d+1)
-                       matrices (gcd(q, d!) = 1)
+                       matrices (gcd(q, d!) = 1; d <= 19)
 
 The module also provides the direct formulas for iterated Hadamard
 products of matrix-module, class-counting and orbit-counting families: sums
@@ -30,12 +31,13 @@ series kernel ``ratfun.hadamard`` from the one-block closed forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import comb, prod
 from typing import Iterable, Sequence
 
-from .configurations import (ColouredConfiguration, Label,
+from .configurations import (MAX_SHUFFLE_WORDS, ColouredConfiguration, Label,
                              LabelledConfiguration, SignedMonomial)
 from .errors import BadParameters, DeltaMismatch, UnknownFamily
 from .permutations import ColouredInteger, ColouredPermutation
@@ -54,6 +56,7 @@ __all__ = [
     "hadamard_entries",
     "ZetaHadamardResult",
     "FAMILY_PARAMS",
+    "MAX_UNITRIANGULAR_D",
 ]
 
 
@@ -130,12 +133,22 @@ def _closed(num_exps: Sequence[int], den_exps: Sequence[int]) -> RationalGF:
                                    [_one(b) for b in den_exps])
 
 
+# over 5x the 45 rows a bench stream uses; a parameter sweep stays bounded
+_ENTRY_CACHE_SIZE = 256
+
+# unitriangular_oc d builds all 2^d colourings of underline(d)
+MAX_UNITRIANGULAR_D = MAX_SHUFFLE_WORDS.bit_length() - 1
+
+
 def build_entry(family: str, **params: int) -> ZetaEntry:
     """Construct a catalog entry, checking the defining identity.
 
     The identity checked: the generating function of the stored labelled
     configuration, with Y rescaled by the stored shift, equals the stored
-    closed form symbolically in X.
+    closed form symbolically in X.  Parameters are validated on every call
+    (``unitriangular_oc`` d at most ``MAX_UNITRIANGULAR_D``); each row is
+    built and checked once per process and then shared, so a cached row
+    keeps its configuration alive.
     """
     if family not in FAMILY_PARAMS:
         raise UnknownFamily(f"unknown family {family!r}; "
@@ -146,7 +159,18 @@ def build_entry(family: str, **params: int) -> ZetaEntry:
             f"family {family} takes parameters {expected}, got {tuple(params)}")
     if any(v < 1 for v in params.values()):
         raise BadParameters("parameters must be positive integers")
+    if family == "unitriangular_oc" and params["d"] > MAX_UNITRIANGULAR_D:
+        raise BadParameters(
+            f"unitriangular_oc d = {params['d']} builds 2^d colourings, over "
+            f"the cap of {MAX_SHUFFLE_WORDS} (d <= {MAX_UNITRIANGULAR_D})")
+    return _checked_entry(family, tuple(sorted(params.items())))
 
+
+@functools.lru_cache(maxsize=_ENTRY_CACHE_SIZE)
+def _checked_entry(family: str, key: tuple[tuple[str, int], ...]) -> ZetaEntry:
+    """The row of ``build_entry`` for validated parameters ``key``; a row
+    whose identity check fails raises, and so is not cached."""
+    params = dict(key)
     d = params.get("d")
     e = params.get("e")
     n = params.get("n")
@@ -216,9 +240,8 @@ def build_entry(family: str, **params: int) -> ZetaEntry:
     w = w_of(lc, eps)
     if not equal(scale_y(w, shift), closed):
         raise AssertionError(
-            f"catalog identity failed for {family} {dict(params)}")
-    return ZetaEntry(family, tuple(sorted(params.items())), lc, eps, shift,
-                     closed, conditions, w)
+            f"catalog identity failed for {family} {params}")
+    return ZetaEntry(family, key, lc, eps, shift, closed, conditions, w)
 
 
 # -- direct Hadamard-product formulas ---------------------------------------

@@ -2,6 +2,7 @@ import importlib
 import json
 import pkgutil
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,22 @@ def test_psi_transfer_table_cap(capsys):
     assert report["cases"] == 16 and report["failures"] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "build", "unitriangular_oc", "30"],
+    ["zeta", "hadamard", "unitriangular_oc:30"],
+    ["verify", "catalog", "--max-d", "30"],
+])
+def test_unitriangular_cap(argv, capsys):
+    """2^30 colourings are refused before any row is built."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "19" in err
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -268,6 +285,11 @@ def _golden_cases():
                ["hadamard", left, right, "--verify", "9", "--format", fmt])
         yield (f"zeta_hadamard_{fmt}",
                ["zeta", "hadamard", "mat:2,1", "so:3", "f2d_cc:4", "Tn:1",
+                "--format", fmt])
+    # one row three times over: built once, expanded once
+    for fmt in ("text", "json"):
+        yield (f"zeta_hadamard_repeated_{fmt}",
+               ["zeta", "hadamard", "mat:2,1", "mat:2,1", "mat:2,1",
                 "--format", fmt])
     for name, perm in (("coloured", "1^1 2^2"), ("empty", ""),
                        ("mixed", "2^1 1 3^2")):

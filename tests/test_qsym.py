@@ -10,7 +10,7 @@ from colshuffle import (ColourOutOfRange, MPoly, SymbolOverlap, expand_F,
                         parse_permutation, psi_closed_form_check, s_des,
                         shuffles, stat_triple, verify_product_rule)
 from colshuffle.mpoly import Monomial, monomial
-from colshuffle.qsym import TruncatedQSym, psi_rows, qvar
+from colshuffle.qsym import psi_rows, qvar
 from colshuffle.shuffle_algebra import X_VAR, p_var
 from colshuffle.permutations import (all_coloured_permutations, descent_set,
                                      s_des_raw)
@@ -62,21 +62,21 @@ def psi_by_direct_enumeration(a, m):
     return out
 
 
-def psi_series(F: TruncatedQSym, cutoff: int) -> list[MPoly]:
-    """[psi_1(F), ..., psi_cutoff(F)] from the monomial expansion; requires
-    F.m >= cutoff so that every surviving monomial (all indices <= cutoff)
-    is present in the truncation.
+def psi_series(F: MPoly, m: int, cutoff: int) -> list[MPoly]:
+    """[psi_1(F), ..., psi_cutoff(F)] from the monomial expansion F
+    truncated at index m; requires m >= cutoff so that every surviving
+    monomial (all indices <= cutoff) is present in the truncation.
 
     Each monomial of F is specialised once and filed under its largest
     index M (the index of its last variable, as variables are sorted);
     psi_m is the sum of the files for M <= m."""
     if cutoff < 1:
         raise ValueError("m must be >= 1")
-    if F.m < cutoff:
-        raise ValueError(f"truncation cutoff {F.m} is below m = {cutoff}")
+    if m < cutoff:
+        raise ValueError(f"truncation cutoff {m} is below m = {cutoff}")
     files: list[dict[Monomial, int]] = [{} for _ in range(cutoff)]
     targets: dict[tuple, Monomial] = {}  # (colour exponents, x exponent)
-    for mono, coeff in F.poly.coeffs.items():
+    for mono, coeff in F.coeffs.items():
         top = mono[-1][0][1] if mono else 1
         if top > cutoff:
             continue
@@ -104,14 +104,15 @@ def psi_series(F: TruncatedQSym, cutoff: int) -> list[MPoly]:
     return out
 
 
-def psi_m_reference(F, m):
-    """One specialisation on its own: a scan of all of F per m."""
+def psi_m_reference(F, truncation, m):
+    """One specialisation on its own: a scan of all of F (truncated at
+    index ``truncation``) per m."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if F.m < m:
-        raise ValueError(f"truncation cutoff {F.m} is below m = {m}")
+    if truncation < m:
+        raise ValueError(f"truncation cutoff {truncation} is below m = {m}")
     out = MPoly.zero()
-    for mono, coeff in F.poly.coeffs.items():
+    for mono, coeff in F.coeffs.items():
         x_exp = 0
         p_exps = {}
         dead = False
@@ -133,9 +134,8 @@ def psi_m_reference(F, m):
 # -- the fundamental expansion --------------------------------------------------
 
 def test_expand_F_empty():
-    F = expand_F(P(""), 3)
-    assert F.poly == MPoly.one()
-    assert F.degree == 0
+    # the constant 1: one monomial, of degree 0
+    assert expand_F(P(""), 3) == MPoly.one()
 
 
 def test_expand_F_golden_two_letters():
@@ -143,7 +143,7 @@ def test_expand_F_golden_two_letters():
     expected = (MPoly.term(monomial((qvar(1, 0), 2)))
                 + MPoly.term(monomial((qvar(1, 0), 1), (qvar(2, 0), 1)))
                 + MPoly.term(monomial((qvar(2, 0), 2))))
-    assert F.poly == expected
+    assert F == expected
 
 
 def test_expand_F_colour_out_of_range():
@@ -155,12 +155,12 @@ def test_expand_F_colour_out_of_range():
 def test_expand_F_homogeneous_with_counted_monomials(a, m):
     F = expand_F(a, m)
     n = len(a)
-    for mono in F.poly.coeffs:
+    for mono in F.coeffs:
         assert sum(e for _, e in mono) == n
     strict = frozenset(i for i in descent_set(a) if i != 0)
-    assert len(F.poly.coeffs) == count_sequences(n, m, strict)
+    assert len(F.coeffs) == count_sequences(n, m, strict)
     # distinct sequences produce distinct monomials, so coefficients are 1
-    assert all(c == 1 for c in F.poly.coeffs.values())
+    assert all(c == 1 for c in F.coeffs.values())
 
 
 def expand_F_by_index_sequences(a, m):
@@ -175,20 +175,23 @@ def expand_F_by_index_sequences(a, m):
         if all(seq[i - 1] < seq[i] for i in strict):
             mono = monomial(*[(qvar(i, c), 1) for i, c in zip(seq, colours)])
             coeffs[mono] = coeffs.get(mono, 0) + 1
-    return TruncatedQSym(MPoly(coeffs), m, max(colours, default=0) + 1,
-                         len(a))
+    return MPoly(coeffs)
 
 
 def test_expand_F_matches_index_sequence_oracle():
     """Every coloured permutation of length <= 4 with colours < 3, at every
-    cutoff m <= 5: the same monomials (as tuples, so in the same order),
-    coefficients, cutoff, colour bound and degree."""
+    cutoff m <= 5: the same monomials (as tuples, so in the same order) and
+    coefficients, each of degree n in variables of index <= m and colour
+    < 3, and the colour bound 3 accepted."""
     for n in range(5):
         for a in all_coloured_permutations(n, 3):
             for m in range(1, 6):
                 F, ref = expand_F(a, m), expand_F_by_index_sequences(a, m)
-                assert (F.poly.coeffs, F.m, F.r, F.degree) == (
-                    ref.poly.coeffs, ref.m, ref.r, ref.degree)
+                assert F.coeffs == ref.coeffs
+                assert expand_F(a, m, r=3) == F
+                for mono in F.coeffs:
+                    assert sum(e for _, e in mono) == n
+                    assert all(i <= m and c < 3 for (_, i, c), _ in mono)
 
 
 @given(coloured_permutations(max_len=4, max_colour=2),
@@ -240,7 +243,7 @@ def product_rule_by_monomials(a, b, m, expansions=None):
     def fundamental(c):
         key = (s_des_raw(c.entries), m)
         if key not in expansions:
-            expansions[key] = expand_F_by_index_sequences(c, m).poly
+            expansions[key] = expand_F_by_index_sequences(c, m)
         return expansions[key]
 
     total = {}
@@ -305,9 +308,9 @@ def test_product_rule_shared_expansions(cases):
                 == verify_product_rule(a, b, m))
         for c in [a, b, *shuffles(a, b)]:
             assert decode(expansions[s_des_raw(c.entries), m], m) == \
-                expand_F(c, m).poly
+                expand_F(c, m)
         assert decode(expansions[s_des(a), s_des(b), m], m) == \
-            expand_F(a, m).poly * expand_F(b, m).poly
+            expand_F(a, m) * expand_F(b, m)
 
 
 def test_qsym_suite_catches_a_dropped_shuffle(monkeypatch):
@@ -343,21 +346,22 @@ def test_qsym_suite_catches_a_dropped_monomial(monkeypatch, word):
 # -- the specialisations -----------------------------------------------------------
 
 def test_psi_boundary_cases():
-    assert psi_series(expand_F(P("1^1"), 1), 1)[-1] == MPoly.zero()
-    assert psi_series(expand_F(P(""), 1), 1)[-1] == MPoly.one()
+    assert psi_series(expand_F(P("1^1"), 1), 1, 1)[-1] == MPoly.zero()
+    assert psi_series(expand_F(P(""), 1), 1, 1)[-1] == MPoly.one()
     # first index substitutes to p with x^0: psi_1 of an uncoloured letter
-    assert psi_series(expand_F(P("1"), 1), 1)[-1] == MPoly.variable(p_var(0))
+    assert (psi_series(expand_F(P("1"), 1), 1, 1)[-1]
+            == MPoly.variable(p_var(0)))
 
 
 def test_psi_requires_cutoff():
     with pytest.raises(ValueError):
-        psi_series(expand_F(P("1"), 2), 3)
+        psi_series(expand_F(P("1"), 2), 2, 3)
     F = expand_F(P("1 2^1"), 2)
     for cutoff in (0, 3):
         with pytest.raises(ValueError):
-            psi_series(F, cutoff)
+            psi_series(F, 2, cutoff)
     # a truncation beyond the cutoff specialises the same way
-    assert psi_series(expand_F(P("1 2^1"), 4), 2) == psi_series(F, 2)
+    assert psi_series(expand_F(P("1 2^1"), 4), 4, 2) == psi_series(F, 2, 2)
 
 
 @given(coloured_permutations(max_len=3, max_colour=2), st.integers(1, 5))
@@ -365,13 +369,13 @@ def test_psi_requires_cutoff():
 @example(P("2^1 1 3^2"), 4)
 def test_psi_series_matches_per_m_reference(a, k):
     F = expand_F(a, k)
-    assert psi_series(F, k) == [psi_m_reference(F, m)
-                                for m in range(1, k + 1)]
+    assert psi_series(F, k, k) == [psi_m_reference(F, k, m)
+                                   for m in range(1, k + 1)]
 
 
 @given(coloured_permutations(max_len=3, max_colour=2), st.integers(1, 4))
 def test_psi_matches_direct_enumeration(a, m):
-    assert (psi_series(expand_F(a, m), m)[-1]
+    assert (psi_series(expand_F(a, m), m, m)[-1]
             == psi_by_direct_enumeration(a, m))
 
 
@@ -383,8 +387,8 @@ def test_psi_is_multiplicative(a, b, m):
         b = relabel_symbols(b, {s: s + 10 for s in b.symbols()})
     r = 3
     F, G = expand_F(a, m, r), expand_F(b, m, r)
-    assert (psi_series(F * G, m)[-1]
-            == psi_series(F, m)[-1] * psi_series(G, m)[-1])
+    assert (psi_series(F * G, m, m)[-1]
+            == psi_series(F, m, m)[-1] * psi_series(G, m, m)[-1])
 
 
 # -- the closed form ---------------------------------------------------------------
@@ -442,8 +446,8 @@ def test_transfer_count_is_the_specialised_expansion(max_len, t_order,
     rows of the transfer count are psi_1 .. psi_m of the expansion."""
     m = t_order + 1
     for a in descent_classes(max_len, colours):
-        assert psi_by_transfer_count(a, m) == psi_series(expand_F(a, m), m), \
-            str(a)
+        assert (psi_by_transfer_count(a, m)
+                == psi_series(expand_F(a, m), m, m)), str(a)
 
 
 @pytest.mark.parametrize("wrong", [

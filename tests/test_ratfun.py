@@ -12,6 +12,7 @@ from colshuffle import (BadParameters, ColouredConfiguration, Label,
                         expand, hadamard_iterated, hadamard_ud,
                         parse_permutation, scale_y, stat_triple, substitute,
                         w_of)
+from colshuffle import ratfun
 from colshuffle.mpoly import MPoly
 from colshuffle.ratfun import _times_factors, hadamard
 from conftest import (assert_no_zero_stored, coloured_permutations,
@@ -273,6 +274,26 @@ def test_hadamard_kernel_multiplies_no_series_by_one(monkeypatch):
     hadamard([w, w, w], 1)
     # three operands of total length 3: two products of series through Y^3
     assert len(products) == 2 * 4
+
+
+def test_hadamard_expands_each_distinct_operand_once(monkeypatch):
+    w = RationalGF.from_factors([(one, -1)], [(one, 0), (one, 1)])
+    copy = RationalGF(dict(w.numerator), w.denominator)
+    other = RationalGF.from_factors([(one, -2)], [(one, 0), (one, 1)])
+    assert copy is not w and copy == w
+    expanded = []
+    expand_series = ratfun.expand
+    monkeypatch.setattr(ratfun, "expand",
+                        lambda r, n: expanded.append(r) or expand_series(r, n))
+    product = hadamard([w, copy, w], 1)
+    assert expanded == [w]
+    expanded.clear()
+    assert hadamard([w, other, copy], 1) == hadamard([other, w, w], 1)
+    assert len(expanded) == 4
+    monkeypatch.undo()
+    # against the coefficientwise product of the three series
+    series = expand(w, 6)
+    assert expand(product, 6) == series.hadamard(series).hadamard(series)
 
 
 def test_hadamard_kernel_rejects_non_w_denominators():

@@ -11,8 +11,10 @@ from colshuffle import (BadParameters, DeltaMismatch, Label,
                         expand, hadamard_entries, hadamard_f2d, hadamard_mde,
                         hadamard_ud,
                         parse_permutation, pi_of, scale_y, underline, w_of)
+from colshuffle import ratfun, zeta
+from colshuffle.configurations import MAX_SHUFFLE_WORDS
 from colshuffle.permutations import stat_triple_raw
-from colshuffle.zeta import FAMILY_PARAMS
+from colshuffle.zeta import FAMILY_PARAMS, MAX_UNITRIANGULAR_D
 
 P = parse_permutation
 one = Fraction(1)
@@ -141,6 +143,65 @@ def test_entry_keeps_the_w_it_checked():
         for value in (1, 2, 3):
             entry = build_entry(family, **{name: value for name in names})
             assert entry.w == w_of(entry.lc, entry.eps)
+
+
+# -- one row per process ------------------------------------------------------
+
+@pytest.fixture
+def fresh_rows():
+    """An empty row cache before and after the test, so that no row built
+    under a patched check reaches another test."""
+    zeta._checked_entry.cache_clear()
+    yield
+    zeta._checked_entry.cache_clear()
+
+
+def test_build_entry_returns_one_row_per_process(fresh_rows):
+    entry = build_entry("mat", d=3, e=2)
+    assert build_entry("mat", d=3, e=2) is entry
+    assert build_entry("mat", e=2, d=3) is entry
+    assert build_entry("mat", d=2, e=3) is not entry
+    assert zeta._checked_entry.cache_info().currsize == 2
+
+
+def test_build_entry_checks_each_row_once(fresh_rows, monkeypatch):
+    checked = []
+    check = zeta.w_of
+    monkeypatch.setattr(zeta, "w_of",
+                        lambda lc, eps: checked.append(lc) or check(lc, eps))
+    rows = [build_entry("mat", d=2, e=1), build_entry("so", d=3),
+            build_entry("mat", e=1, d=2), build_entry("so", d=3),
+            build_entry("mat", d=2, e=1)]
+    assert checked == [rows[0].lc, rows[1].lc]
+
+
+def test_a_failed_check_is_not_cached(fresh_rows, monkeypatch):
+    monkeypatch.setattr(zeta, "equal", lambda a, b: False)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="catalog identity failed"):
+            build_entry("mat", d=2, e=1)
+    assert zeta._checked_entry.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert build_entry("mat", d=2, e=1).closed_form == closed([-1], [0, 1])
+
+
+def test_bad_parameters_raise_every_time(fresh_rows):
+    build_entry("unitriangular_oc", d=2)
+    bad = [("nope", {"d": 1}, UnknownFamily),
+           ("mat", {"d": 2}, BadParameters),
+           ("mat", {"d": 2, "e": 1, "n": 1}, BadParameters),
+           ("so", {"d": 0}, BadParameters),
+           ("unitriangular_oc", {"d": MAX_UNITRIANGULAR_D + 1}, BadParameters)]
+    for _ in range(2):
+        for family, params, error in bad:
+            with pytest.raises(error):
+                build_entry(family, **params)
+    assert zeta._checked_entry.cache_info().currsize == 1
+
+
+def test_unitriangular_cap_is_the_shuffle_cap():
+    assert 2 ** MAX_UNITRIANGULAR_D <= MAX_SHUFFLE_WORDS
+    assert 2 ** (MAX_UNITRIANGULAR_D + 1) > MAX_SHUFFLE_WORDS
 
 
 # -- iterated Hadamard products ------------------------------------------------
@@ -283,6 +344,27 @@ def test_mde_equals_colouring_sum(delta):
         expected = colouring_sum(itertools.permutations(range(1, n + 1)),
                                  [-e - delta for e in es], delta)
         assert hadamard_mde([(e + delta, e) for e in es]) == expected
+
+
+def test_repeated_blocks_equal_colouring_sum(monkeypatch):
+    """Repeated blocks are expanded once each, and the products still
+    match the colouring sums."""
+    expanded = []
+    expand_series = ratfun.expand
+    monkeypatch.setattr(ratfun, "expand",
+                        lambda r, n: expanded.append(r) or expand_series(r, n))
+    for es, distinct in [((2, 2, 2), 1), ((1, 3, 1, 3), 2),
+                         ((2, 1, 2, 2, 1), 2)]:
+        n = len(es)
+        words = list(itertools.permutations(range(1, n + 1)))
+        expanded.clear()
+        assert (hadamard_mde([(e + 1, e) for e in es])
+                == colouring_sum(words, [-e - 1 for e in es], 1))
+        assert len(expanded) == len(set(expanded)) == distinct
+        expanded.clear()
+        assert (hadamard_f2d(list(es)).rgf
+                == colouring_sum(words, [-d for d in es], 1))
+        assert len(expanded) == len(set(expanded)) == distinct
 
 
 def test_f2d_equals_colouring_sum():
