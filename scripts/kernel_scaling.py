@@ -1,13 +1,17 @@
-"""Scaling of the series kernel: time and size of hadamard_mde at k blocks.
+"""Scaling of the series kernel: time and size of the direct formulas at k
+blocks.
 
-Prints one row per block count k in 10, 12, 20, 30, ... up to --max-blocks:
-the wall time of ``hadamard_mde([(2, 1)] * k)``, which is the Hadamard
-product of k copies of the ``mat 2 1`` closed form, and the number of terms
-of its numerator.  For k <= 12 the result is also checked against the
-series oracle, the coefficientwise product of the blocks' expansions to
-order 2k + 1, which determines the closed form.
+The first table prints one row per block count k in 10, 12, 20, 30, ... up
+to --max-blocks: the wall time of ``hadamard_mde([(2, 1)] * k)``, which is
+the Hadamard product of k copies of the ``mat 2 1`` closed form, and the
+number of terms of its numerator.  The second table does the same for k
+distinct blocks, where no operand repeats: ``hadamard_mde`` of
+(2, 1), (3, 2), ..., (k + 1, k) and ``hadamard_f2d`` of 1, 2, ..., k.  For
+k <= 12 each result is also checked against the series oracle, the
+coefficientwise product of the blocks' expansions to order 2k + 1, which
+determines the closed form.
 
-A second table times one Laurent product of two dense polynomials of n
+A third table times one Laurent product of two dense polynomials of n
 terms each, for n = 4, 8, ..., 1024, through the dict product and through
 the packed product, by setting ``mpoly.PACK_MIN_TERMS`` (from which
 ``MPoly.__mul__`` packs) above n and to 1.  The two products must be equal.
@@ -27,7 +31,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from colshuffle import (LaurentPoly, build_entry, expand,  # noqa: E402
-                        hadamard_mde, mpoly)
+                        hadamard_f2d, hadamard_mde, mpoly)
 
 ORACLE_MAX_BLOCKS = 12
 PRODUCT_TERMS = [2**i for i in range(2, 11)]
@@ -38,13 +42,66 @@ def block_counts(max_blocks: int) -> list[int]:
             if k <= max_blocks]
 
 
-def oracle_agrees(result, k: int) -> bool:
-    order = 2 * k + 1
-    block = expand(build_entry("mat", d=2, e=1).closed_form, order)
-    product = block
-    for _ in range(k - 1):
-        product = product.hadamard(block)
+def oracle_agrees(result, blocks) -> bool:
+    """``result`` against the coefficientwise product of the expansions of
+    the blocks' closed forms, to order 2k + 1 for k blocks."""
+    order = 2 * len(blocks) + 1
+    product = expand(blocks[0].closed_form, order)
+    for block in blocks[1:]:
+        product = product.hadamard(expand(block.closed_form, order))
     return expand(result, order) == product
+
+
+def timed(formula, *args):
+    """The result of ``formula(*args)`` and its wall time in seconds."""
+    start = time.perf_counter()
+    result = formula(*args)
+    return result, time.perf_counter() - start
+
+
+def verdict(k: int, *checks) -> tuple[bool, str]:
+    """(passed, column text) for the oracle checks of a row of k blocks,
+    each a (result, blocks) pair, which run only up to ORACLE_MAX_BLOCKS."""
+    if k > ORACLE_MAX_BLOCKS:
+        return True, "-"
+    agrees = all(oracle_agrees(*check) for check in checks)
+    return agrees, "ok" if agrees else "MISMATCH"
+
+
+def terms(rgf) -> int:
+    return sum(len(lp.coeffs) for lp in rgf.numerator.values())
+
+
+def identical_table(max_blocks: int) -> bool:
+    """k copies of the mat 2 1 block; False on an oracle mismatch."""
+    ok = True
+    print(f"{'blocks':>6}  {'seconds':>8}  {'numerator terms':>15}  oracle")
+    for k in block_counts(max_blocks):
+        result, elapsed = timed(hadamard_mde, [(2, 1)] * k)
+        agrees, text = verdict(
+            k, (result, [build_entry("mat", d=2, e=1)] * k))
+        ok = ok and agrees
+        print(f"{k:>6}  {elapsed:>8.3f}  {terms(result):>15}  {text}",
+              flush=True)
+    return ok
+
+
+def distinct_table(max_blocks: int) -> bool:
+    """k distinct mat and so blocks; False on an oracle mismatch."""
+    ok = True
+    print(f"\n{'blocks':>6}  {'mde s':>8}  {'f2d s':>8}  "
+          f"{'mde terms':>9}  {'f2d terms':>9}  oracle")
+    for k in block_counts(max_blocks):
+        mde, mde_s = timed(hadamard_mde, [(e + 1, e) for e in range(1, k + 1)])
+        f2d, f2d_s = timed(hadamard_f2d, list(range(1, k + 1)))
+        agrees, text = verdict(
+            k,
+            (mde, [build_entry("mat", d=e + 1, e=e) for e in range(1, k + 1)]),
+            (f2d.rgf, [build_entry("so", d=d) for d in range(1, k + 1)]))
+        ok = ok and agrees
+        print(f"{k:>6}  {mde_s:>8.3f}  {f2d_s:>8.3f}  {terms(mde):>9}  "
+              f"{terms(f2d.rgf):>9}  {text}", flush=True)
+    return ok
 
 
 def time_product(a, b, min_terms: int):
@@ -86,20 +143,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.max_blocks < 10:
         parser.error("--max-blocks must be at least 10")
-    ok = True
-    print(f"{'blocks':>6}  {'seconds':>8}  {'numerator terms':>15}  oracle")
-    for k in block_counts(args.max_blocks):
-        start = time.perf_counter()
-        result = hadamard_mde([(2, 1)] * k)
-        elapsed = time.perf_counter() - start
-        terms = sum(len(lp.coeffs) for lp in result.numerator.values())
-        if k <= ORACLE_MAX_BLOCKS:
-            agrees = oracle_agrees(result, k)
-            ok = ok and agrees
-            verdict = "ok" if agrees else "MISMATCH"
-        else:
-            verdict = "-"
-        print(f"{k:>6}  {elapsed:>8.3f}  {terms:>15}  {verdict}", flush=True)
+    ok = identical_table(args.max_blocks)
+    ok = distinct_table(args.max_blocks) and ok
     ok = product_table() and ok
     return 0 if ok else 1
 

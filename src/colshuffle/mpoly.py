@@ -14,7 +14,11 @@ inverse ``divide_by_factors`` apply factors 1 - c*m*t one at a time, each
 step one dict pass (``add_mul``).  Results that cannot hold a zero skip the
 constructor's filter.  Products of integer-keyed polynomials with ``int``
 coefficients that are large and dense enough are packed into one bignum
-product (Kronecker substitution, see ``PACK_MIN_TERMS``).
+product (Kronecker substitution, see ``PACK_MIN_TERMS``).  The Hadamard
+product of W series runs on packed ints from end to end
+(``hadamard_numerator``): each operand is packed once, every factor step is
+a shift and an add, and the result is unpacked once, at a digit width
+bounded from the operands' l1 norms.
 
 Coefficients are stored as they come: integral ones are plain ``int`` and a
 ``Fraction`` appears only where arithmetic makes a non-integral rational.
@@ -27,7 +31,13 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
+from operator import add
 from typing import Hashable, Iterable, Mapping, Sequence, Union
+
+from .configurations import MAX_SHUFFLE_WORDS
+from .errors import BadParameters
 
 Coeff = Union[int, Fraction]
 
@@ -97,6 +107,28 @@ def _packed(p: dict, lo: int, span: int, width: int) -> int:
     return int.from_bytes(raw, "little") - _offset(span, width)
 
 
+def _width(bound: int) -> int:
+    """Bytes per digit for coefficients of absolute value at most ``bound``,
+    with room for a sign bit; 1, 2, 4 or 8 where an array code applies."""
+    width = bound.bit_length() // 8 + 1
+    if width <= 8:
+        width = 1 if width == 1 else 2 if width == 2 else 4 if width <= 4 else 8
+    return width
+
+
+def _unpacked(value: int, lo: int, width: int) -> dict:
+    """The {exponent: int} dict of a packed int whose digit 0 stands for
+    X^lo, each coefficient below half the digit range in absolute value."""
+    span = abs(value).bit_length() // (8 * width) + 1
+    raw = (value + _offset(span, width)).to_bytes(span * width, "little")
+    code = _DIGIT_CODES.get(width)
+    digits = (array(code, raw) if code else
+              [int.from_bytes(raw[i:i + width], "little")
+               for i in range(0, len(raw), width)])
+    half = 1 << (8 * width - 1)
+    return {lo + i: d - half for i, d in enumerate(digits) if d != half}
+
+
 def _packed_product(a: dict, b: dict) -> dict | None:
     """The product of {exponent: int} dicts by Kronecker substitution, or
     None if a coefficient is not an int or an operand is too sparse."""
@@ -106,21 +138,105 @@ def _packed_product(a: dict, b: dict) -> dict | None:
             or {*map(type, a.values()), *map(type, b.values())} != {int}):
         return None
     # no coefficient of the product exceeds this bound in absolute value
-    bound = (max(map(abs, a.values())) * max(map(abs, b.values()))
-             * min(len(a), len(b)))
-    width = bound.bit_length() // 8 + 1  # bytes, with room for a sign bit
-    if width <= 8:
-        width = 1 if width == 1 else 2 if width == 2 else 4 if width <= 4 else 8
-    span = span_a + span_b - 1
-    product = (_packed(a, lo_a, span_a, width) * _packed(b, lo_b, span_b, width)
-               + _offset(span, width))
-    raw = product.to_bytes(span * width, "little")
-    code = _DIGIT_CODES.get(width)
-    digits = (array(code, raw) if code else
-              [int.from_bytes(raw[i:i + width], "little")
-               for i in range(0, len(raw), width)])
-    half, lo = 1 << (8 * width - 1), lo_a + lo_b
-    return {lo + i: d - half for i, d in enumerate(digits) if d != half}
+    width = _width(max(map(abs, a.values())) * max(map(abs, b.values()))
+                   * min(len(a), len(b)))
+    return _unpacked(_packed(a, lo_a, span_a, width)
+                     * _packed(b, lo_b, span_b, width), lo_a + lo_b, width)
+
+
+def _balanced_product(values: list[int]) -> int:
+    """The product of ``values`` by a balanced tree of multiplications, so
+    that big factors meet at similar sizes; 1 for no values."""
+    while len(values) > 1:
+        pairs = [a * b for a, b in zip(values[::2], values[1::2])]
+        values = pairs + values[-1:] if len(values) % 2 else pairs
+    return values[0] if values else 1
+
+
+def hadamard_numerator(operands: Sequence[tuple[Mapping[int, dict], int, int]],
+                       eps: int) -> list[dict]:
+    """The numerator of a Hadamard product (in Y) of W series.
+
+    An operand (num, n, mult) is num / ((1 - Y)(1 - X^eps Y) ... (1 -
+    X^(n*eps) Y)) taken ``mult`` times, ``num`` mapping Y-degrees >= 0 to
+    {X-exponent: int or Fraction} dicts.  With N the sum of mult*n, the
+    product series through Y^N times (1 - Y) ... (1 - X^(N*eps) Y) is
+    returned as N + 1 dicts, one per Y-degree.
+
+    Each operand is scaled to ints by the lcm of its denominators and its
+    Y^k coefficients are packed once, digit 0 at X^(lo + k*min(0, eps*n))
+    for its least exponent lo, so that every factor step is a left shift.
+    All steps are exact integer arithmetic: only the result's coefficients
+    must fit in a digit, and the width bounds them by running the same
+    recurrences on l1 norms.  The result is unpacked once and divided by
+    the product of the scales.  ``BadParameters`` is raised when a packed
+    int could span more than ``MAX_SHUFFLE_WORDS`` digits, as a large
+    exponent spread or ``eps`` would make it.
+    """
+    order = sum(n * mult for _, n, mult in operands)
+    # the widest packed int has at most this many digits: each operand's
+    # exponent spread, plus at most |eps|*N per factor step, N steps in
+    # the expansion and N in the multiplication back
+    scaled, scale, digits = [], 1, 2 * order * order * abs(eps) + 1
+    for num, n, mult in operands:
+        rows = [num.get(k, {}) for k in range(order + 1)]
+        if not any(rows):
+            return [{} for _ in range(order + 1)]
+        lo = min(min(row) for row in rows if row)
+        digits += mult * (max(max(row) for row in rows if row) - lo)
+        # int and Fraction alike have a numerator and a denominator
+        lcd = lcm(*(c.denominator for row in rows for c in row.values()))
+        scaled.append(([{e: c.numerator * (lcd // c.denominator)
+                         for e, c in row.items()} for row in rows],
+                       n, mult, lo))
+        scale *= lcd ** mult
+    if digits > MAX_SHUFFLE_WORDS:
+        raise BadParameters(f"the Hadamard product spans up to {digits} "
+                            f"X-exponents, over the cap of {MAX_SHUFFLE_WORDS}")
+    # l1 norms through the same recurrences bound every result coefficient
+    bound = 0
+    products = [1] * (order + 1)
+    for rows, n, mult, _ in scaled:
+        norms = [sum(map(abs, row.values())) for row in rows]
+        bound = max(bound, *norms)
+        for _ in range(n + 1):
+            norms = list(accumulate(norms))
+        products = [p * q ** mult for p, q in zip(products, norms)]
+    for _ in range(order + 1):
+        products = [products[0], *map(add, products[1:], products)]
+    width = _width(max(bound, *products))
+    bits = 8 * width
+    # pack and expand each operand; the product's Y^k digit 0 stands for
+    # X^(base + k*low)
+    series, base, low = [], 0, 0
+    for rows, n, mult, lo in scaled:
+        step = min(0, eps * n)
+        packed = [_packed(row, lo + k * step, max(row) - lo - k * step + 1,
+                          width) if row else 0
+                  for k, row in enumerate(rows)]
+        for i in range(n + 1):
+            shift = bits * (eps * i - step)
+            for k in range(1, order + 1):
+                packed[k] += packed[k - 1] << shift
+        series.append((packed, mult))
+        base += mult * lo
+        low += mult * step
+    # coefficientwise: a power per repeated operand, a tree across distinct
+    product = [_balanced_product([pow(packed[k], mult)
+                                  for packed, mult in series])
+               for k in range(order + 1)]
+    for i in range(order + 1):  # times the N + 1 factors, from Y^N down
+        shift = bits * (eps * i - low)
+        for k in range(order, 0, -1):
+            product[k] -= product[k - 1] << shift
+    out = []
+    for k, value in enumerate(product):
+        row = _unpacked(value, base + k * low, width) if value else {}
+        if scale > 1:
+            row = {e: c // scale if c % scale == 0 else Fraction(c, scale)
+                   for e, c in row.items()}
+        out.append(row)
+    return out
 
 
 class MPoly:

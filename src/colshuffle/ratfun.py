@@ -17,14 +17,16 @@ exponent ``eps`` the rational series summing, over the support, the terms
     (1 - Y)(1 - X^eps Y) ... (1 - X^(eps*|a|) Y)
 
 brought over the common denominator of the longest support element.
-``hadamard`` is the one closed form of Hadamard products of W's.  Every
-product by denominator factors, there and in ``w_of``, ``equal`` and
+``hadamard`` is the one closed form of Hadamard products of W's, computed
+end to end on Kronecker-packed ints by ``mpoly.hadamard_numerator``.  Every
+other product by denominator factors, in ``w_of``, ``equal`` and
 ``RationalGF.from_factors``, runs one factor at a time through
 ``mpoly.multiply_by_factors``, the inverse of the division in ``expand``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -32,7 +34,8 @@ from typing import Iterable, Mapping, Sequence
 from .configurations import (LabelledConfiguration, SignedMonomial,
                              _json_int, evaluate_label)
 from .errors import BadParameters, OrderMismatch, ParseError, ZeroSubstitution
-from .mpoly import Coeff, MPoly, divide_by_factors, multiply_by_factors
+from .mpoly import (Coeff, MPoly, divide_by_factors, hadamard_numerator,
+                    multiply_by_factors)
 from .permutations import stat_triple_raw
 
 __all__ = [
@@ -307,6 +310,13 @@ class RationalGF:
         return cls(numerator, denominator)
 
 
+def _check_power_series(r: RationalGF) -> None:
+    """Raise ``BadParameters`` if the numerator has a negative Y-degree."""
+    if r.numerator and min(r.numerator) < 0:
+        raise BadParameters(f"cannot expand the negative Y-degree "
+                            f"{min(r.numerator)} as a power series")
+
+
 def expand(r: RationalGF, order: int = DEFAULT_ORDER) -> SeriesY:
     """Exact Y-power-series expansion of ``r`` through Y^order.
 
@@ -316,9 +326,7 @@ def expand(r: RationalGF, order: int = DEFAULT_ORDER) -> SeriesY:
     """
     if order < 0:
         raise BadParameters(f"series order must be >= 0, got {order}")
-    if r.numerator and min(r.numerator) < 0:
-        raise BadParameters(f"cannot expand the negative Y-degree "
-                            f"{min(r.numerator)} as a power series")
+    _check_power_series(r)
     coeffs = [r.numerator.get(k, LaurentPoly.zero()) for k in range(order + 1)]
     return SeriesY(divide_by_factors(coeffs, r.denominator))
 
@@ -405,21 +413,20 @@ def hadamard(rgfs: Sequence[RationalGF], eps: int) -> RationalGF:
 
     By the shuffle theorem, W's of max lengths n_1, ..., n_k multiply to the
     W denominator of N = n_1 + ... + n_k over a numerator of Y-degree <= N:
-    the product series through Y^N times that denominator, multiplied in one
-    factor at a time and truncated at Y^N.  Equal operands are expanded
-    once.  No operands give 1/(1-Y), a zero operand 0, and a non-W
-    denominator ``ValueError``.
+    the product series through Y^N times that denominator, truncated at
+    Y^N, which ``mpoly.hadamard_numerator`` computes on packed ints from
+    each distinct operand once.  No operands give 1/(1-Y), a zero operand
+    0, and a non-W denominator ``ValueError``.
     """
-    lengths = [_w_length(r, eps) for r in rgfs]
+    counts = Counter(rgfs)  # each operand is hashed once
+    lengths = [_w_length(r, eps) for r in counts]
     if None in lengths:
         return RationalGF.zero()
-    n = sum(lengths)
-    distinct: dict[RationalGF, int] = {}  # each operand is hashed once
-    slots = [distinct.setdefault(r, len(distinct)) for r in rgfs]
-    expanded = [expand(r, n) for r in distinct]
-    series = expanded[slots[0]] if rgfs else SeriesY([LaurentPoly.one()])
-    for i in slots[1:]:
-        series = series.hadamard(expanded[i])
-    denominator = _w_denominator(eps, n)
-    numerator = multiply_by_factors(series.coefficients, denominator)
-    return RationalGF(dict(enumerate(numerator)), denominator)
+    for r in counts:
+        _check_power_series(r)
+    numerator = hadamard_numerator(
+        [({k: lp.coeffs for k, lp in r.numerator.items()}, n, mult)
+         for (r, mult), n in zip(counts.items(), lengths)], eps)
+    return RationalGF({k: LaurentPoly._trusted(row)
+                       for k, row in enumerate(numerator) if row},
+                      _w_denominator(eps, len(numerator) - 1))

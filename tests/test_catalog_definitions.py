@@ -1,0 +1,84 @@
+"""The catalog's closed forms against counts straight from the definitions.
+
+The ask zeta function of a module M of d x e matrices over Z_p is
+sum_k ask(M tensor Z/p^k) Y^k, where ask is the average size of the kernel
+of the matrices of the module acting on row vectors.  These checks count
+that average by brute force over every matrix and every row vector of
+Z/p^k, and compare it with the Y^k coefficient of the closed form at X = p.
+No route of the library is shared: the counts see neither configurations
+nor series.
+"""
+
+import itertools
+import json
+from fractions import Fraction
+
+import pytest
+
+from colshuffle import RationalGF, build_entry, expand
+from colshuffle.cli import main
+
+
+def average_kernel_size(matrices, rows: int, q: int) -> Fraction:
+    """The average over ``matrices`` (lists of ``rows`` rows over Z/q) of the
+    number of row vectors x in (Z/q)^rows with x A = 0."""
+    vectors = list(itertools.product(range(q), repeat=rows))
+    total = count = 0
+    for a in matrices:
+        columns = list(zip(*a))
+        total += sum(all(sum(x * c for x, c in zip(v, col)) % q == 0
+                         for col in columns) for v in vectors)
+        count += 1
+    return Fraction(total, count)
+
+
+def full_matrices(d: int, e: int, q: int):
+    """Every d x e matrix over Z/q."""
+    for entries in itertools.product(range(q), repeat=d * e):
+        yield [entries[i * e:(i + 1) * e] for i in range(d)]
+
+
+def block_diagonal(blocks, q: int):
+    """Every block-diagonal matrix over Z/q with blocks of the given
+    (rows, columns) shapes, each block a full matrix."""
+    d, e = sum(r for r, _ in blocks), sum(c for _, c in blocks)
+    for parts in itertools.product(*(list(full_matrices(r, c, q))
+                                     for r, c in blocks)):
+        a = [[0] * e for _ in range(d)]
+        row = col = 0
+        for part in parts:
+            for i, line in enumerate(part):
+                a[row + i][col:col + len(line)] = line
+            row, col = row + len(part), col + len(part[0])
+        yield a
+
+
+def coefficient_at(rgf: RationalGF, k: int, p: int) -> Fraction:
+    """The Y^k coefficient of ``rgf`` at X = p."""
+    return Fraction(expand(rgf, k)[k].eval_at(p))
+
+
+@pytest.mark.parametrize("d,e", itertools.product((1, 2), repeat=2))
+@pytest.mark.parametrize("p", (2, 3))
+def test_mat_closed_form_is_the_average_kernel_size(d, e, p):
+    entry = build_entry("mat", d=d, e=e)
+    assert entry.conditions == () and entry.shift.exponent == 0
+    for k in (1, 2):
+        q = p ** k
+        assert (coefficient_at(entry.closed_form, k, p)
+                == average_kernel_size(full_matrices(d, e, q), d, q))
+
+
+def test_direct_sum_is_the_block_diagonal_module(capsys):
+    """``zeta hadamard mat:2,1 mat:2,1`` through the CLI's JSON, against the
+    module of block-diagonal 4 x 2 matrices with two 2 x 1 blocks."""
+    assert main(["zeta", "hadamard", "mat:2,1", "mat:2,1",
+                 "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["shift"] == {"sign": 1, "exponent": 0}
+    rgf = RationalGF.from_json_obj(result)
+    p = 2
+    counted = [average_kernel_size(block_diagonal([(2, 1), (2, 1)], p ** k),
+                                   4, p ** k) for k in (1, 2)]
+    assert counted == [Fraction(25, 4), Fraction(121, 4)]
+    assert [coefficient_at(rgf, k, p) for k in (1, 2)] == counted

@@ -270,6 +270,21 @@ def test_unitriangular_cap(argv, capsys):
     assert "19" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "hadamard", "mat:1000000001,1000000000"],
+    ["zeta", "hadamard", "mat:1000000001,1"],
+])
+def test_hadamard_span_cap(argv, capsys):
+    """An exponent spread or an eps of 10^9 is refused before any packing."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1000000" in err
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

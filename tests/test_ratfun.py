@@ -12,8 +12,9 @@ from colshuffle import (BadParameters, ColouredConfiguration, Label,
                         expand, hadamard_iterated, hadamard_ud,
                         parse_permutation, scale_y, stat_triple, substitute,
                         w_of)
-from colshuffle import ratfun
-from colshuffle.mpoly import MPoly
+from colshuffle import mpoly
+from colshuffle.configurations import MAX_SHUFFLE_WORDS
+from colshuffle.mpoly import multiply_by_factors
 from colshuffle.ratfun import _times_factors, hadamard
 from conftest import (assert_no_zero_stored, coloured_permutations,
                       laurent_polys)
@@ -267,13 +268,35 @@ def test_hadamard_kernel_without_operands_is_the_identity():
 
 def test_hadamard_kernel_multiplies_no_series_by_one(monkeypatch):
     products = []
-    product = MPoly.__mul__
-    monkeypatch.setattr(MPoly, "__mul__",
-                        lambda a, b: products.append(1) or product(a, b))
+    product = mpoly._balanced_product
+    monkeypatch.setattr(mpoly, "_balanced_product",
+                        lambda values: products.append(len(values))
+                        or product(values))
     w = RationalGF({0: LaurentPoly.one()}, [(1, 0), (1, 1)])
+    v = RationalGF({0: LaurentPoly.monomial(2)}, [(1, 0), (1, 1)])
     hadamard([w, w, w], 1)
-    # three operands of total length 3: two products of series through Y^3
-    assert len(products) == 2 * 4
+    # one power per Y^k of the series through Y^3, multiplied by nothing
+    assert products == [1] * 4
+    products.clear()
+    hadamard([w, v, w], 1)
+    assert products == [2] * 4
+
+
+def test_hadamard_refuses_spans_over_the_cap():
+    """No packed int spans more than MAX_SHUFFLE_WORDS digits: the exponent
+    spread and eps are bounded before anything is packed."""
+    def spread(top):
+        return RationalGF({0: LaurentPoly({0: 1, top: 1})}, [(1, 0)])
+    at_cap = spread(MAX_SHUFFLE_WORDS - 1)
+    assert hadamard([at_cap], 0) == at_cap
+    with pytest.raises(BadParameters, match="1000001"):
+        hadamard([spread(MAX_SHUFFLE_WORDS)], 0)
+    # two W's of length 1 span up to 8*|eps| + 1 digits
+    eps = MAX_SHUFFLE_WORDS // 8 + 1
+    for e in (eps, -eps):
+        w = RationalGF({0: LaurentPoly.one()}, [(1, 0), (1, e)])
+        with pytest.raises(BadParameters, match="1000009"):
+            hadamard([w, w], e)
 
 
 def test_hadamard_expands_each_distinct_operand_once(monkeypatch):
@@ -281,19 +304,84 @@ def test_hadamard_expands_each_distinct_operand_once(monkeypatch):
     copy = RationalGF(dict(w.numerator), w.denominator)
     other = RationalGF.from_factors([(one, -2)], [(one, 0), (one, 1)])
     assert copy is not w and copy == w
-    expanded = []
-    expand_series = ratfun.expand
-    monkeypatch.setattr(ratfun, "expand",
-                        lambda r, n: expanded.append(r) or expand_series(r, n))
+    packed = []
+    pack = mpoly._packed
+    monkeypatch.setattr(mpoly, "_packed",
+                        lambda p, *args: packed.append(p) or pack(p, *args))
     product = hadamard([w, copy, w], 1)
-    assert expanded == [w]
-    expanded.clear()
+    # the rows of the one distinct operand, each packed (and expanded) once
+    assert packed == [w.numerator[0].coeffs, w.numerator[1].coeffs]
+    packed.clear()
     assert hadamard([w, other, copy], 1) == hadamard([other, w, w], 1)
-    assert len(expanded) == 4
+    assert len(packed) == 2 * 4
     monkeypatch.undo()
     # against the coefficientwise product of the three series
     series = expand(w, 6)
     assert expand(product, 6) == series.hadamard(series).hadamard(series)
+
+
+def hadamard_by_series(rgfs, eps):
+    """The series route, the oracle of ``hadamard``: expand every operand
+    through Y^N, take the coefficientwise product and multiply it by the W
+    denominator of N one factor at a time."""
+    if any(r.is_zero() and not r.denominator for r in rgfs):
+        return RationalGF.zero()
+    n = sum(len(r.denominator) - 1 for r in rgfs)
+    series = SeriesY([LaurentPoly.one()] * (n + 1))
+    for r in rgfs:
+        series = series.hadamard(expand(r, n))
+    denominator = [(1, eps * i) for i in range(n + 1)]
+    numerator = multiply_by_factors(series.coefficients, denominator)
+    return RationalGF(dict(enumerate(numerator)), denominator)
+
+
+def json_round_trip(r):
+    return RationalGF.from_json_obj(json.loads(json.dumps(r.to_json_obj())))
+
+
+@st.composite
+def w_series(draw, eps, max_len=3):
+    """A W of ``eps`` with a random numerator, up to one Y-degree past its
+    length, and int, integral Fraction (via JSON) or Fraction coefficients."""
+    n = draw(st.integers(0, max_len))
+    numerator = draw(st.dictionaries(st.integers(0, n + 1), laurent_polys(),
+                                     max_size=n + 2))
+    r = RationalGF(numerator, [(1, eps * i) for i in range(n + 1)])
+    return json_round_trip(r) if draw(st.booleans()) else r
+
+
+@st.composite
+def hadamard_operands(draw):
+    eps = draw(st.integers(-2, 2))
+    distinct = draw(st.lists(w_series(eps), min_size=1, max_size=3))
+    return draw(st.lists(st.sampled_from(distinct), max_size=4)), eps
+
+
+_WIDE = RationalGF({0: LaurentPoly({0: 10**12, -1: -3}),
+                    1: LaurentPoly({2: Fraction(10**9, 7)})},
+                   [(1, 0), (1, -2)])
+_THREE = [RationalGF.from_factors([(one, -1)], [(1, 0), (1, 1)]),
+          RationalGF({0: LaurentPoly.monomial(2)}, [(1, 0), (1, 1)]),
+          RationalGF({0: LaurentPoly.monomial(Fraction(1, 2), 1),
+                      1: LaurentPoly.monomial(-1, 2)},
+                     [(1, 0), (1, 1), (1, 2)])]
+
+
+@settings(deadline=None)
+@example(([], 1))
+@example((_THREE, 1))
+@example((_THREE[1:] + _THREE, 1))
+@example(([_WIDE, RationalGF.zero(), _WIDE], -2))
+@example(([_WIDE, RationalGF({}, [(1, 0)]), _WIDE], -2))
+@example(([_WIDE, json_round_trip(_WIDE), _WIDE], -2))  # 18-byte digits
+@given(hadamard_operands())
+def test_hadamard_kernel_equals_series_route(case):
+    rgfs, eps = case
+    result = hadamard(rgfs, eps)
+    assert result == hadamard_by_series(rgfs, eps)
+    assert_no_zero_stored(*result.numerator.values())
+    assert all(type(c) is int for lp in result.numerator.values()
+               for c in lp.coeffs.values() if c.denominator == 1)
 
 
 def test_hadamard_kernel_rejects_non_w_denominators():

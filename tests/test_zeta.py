@@ -11,7 +11,7 @@ from colshuffle import (BadParameters, DeltaMismatch, Label,
                         expand, hadamard_entries, hadamard_f2d, hadamard_mde,
                         hadamard_ud,
                         parse_permutation, pi_of, scale_y, underline, w_of)
-from colshuffle import ratfun, zeta
+from colshuffle import mpoly, zeta
 from colshuffle.configurations import MAX_SHUFFLE_WORDS
 from colshuffle.permutations import stat_triple_raw
 from colshuffle.zeta import FAMILY_PARAMS, MAX_UNITRIANGULAR_D
@@ -347,24 +347,25 @@ def test_mde_equals_colouring_sum(delta):
 
 
 def test_repeated_blocks_equal_colouring_sum(monkeypatch):
-    """Repeated blocks are expanded once each, and the products still
-    match the colouring sums."""
-    expanded = []
-    expand_series = ratfun.expand
-    monkeypatch.setattr(ratfun, "expand",
-                        lambda r, n: expanded.append(r) or expand_series(r, n))
+    """Repeated blocks are packed and expanded once each, and the products
+    still match the colouring sums."""
+    packed = []
+    pack = mpoly._packed
+    monkeypatch.setattr(mpoly, "_packed",
+                        lambda p, *args: packed.append(p) or pack(p, *args))
     for es, distinct in [((2, 2, 2), 1), ((1, 3, 1, 3), 2),
                          ((2, 1, 2, 2, 1), 2)]:
         n = len(es)
         words = list(itertools.permutations(range(1, n + 1)))
-        expanded.clear()
+        packed.clear()
         assert (hadamard_mde([(e + 1, e) for e in es])
                 == colouring_sum(words, [-e - 1 for e in es], 1))
-        assert len(expanded) == len(set(expanded)) == distinct
-        expanded.clear()
+        # each block's numerator 1 - X^(-e) Y has two rows
+        assert len(packed) == 2 * distinct
+        packed.clear()
         assert (hadamard_f2d(list(es)).rgf
                 == colouring_sum(words, [-d for d in es], 1))
-        assert len(expanded) == len(set(expanded)) == distinct
+        assert len(packed) == 2 * distinct
 
 
 def test_f2d_equals_colouring_sum():
