@@ -19,8 +19,8 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import BadParameters, NotCoherent, ParseError, SymbolOverlap
-from .permutations import (ColouredPermutation, interleavings,
-                           parse_permutation, shuffles)
+from .permutations import (MAX_SHUFFLE_WORDS, ColouredPermutation,
+                           interleavings, parse_permutation)
 
 __all__ = [
     "SignedMonomial",
@@ -131,10 +131,6 @@ class Label:
         inner = ", ".join(f"{c} -> {v}" for c, v in sorted(self.assignments.items()))
         return "Label{" + inner + "}"
 
-    def restrict(self, colours: Iterable[int]) -> "Label":
-        keep = set(colours)
-        return Label({c: v for c, v in self.assignments.items() if c in keep})
-
     def to_json_obj(self) -> list[dict]:
         return [{"colour": c, "sign": v.sign, "exponent": v.exponent}
                 for c, v in sorted(self.assignments.items())]
@@ -231,12 +227,6 @@ class ColouredConfiguration:
             (f"{m}*()" if m != 1 else "()")
             for p, m in self.terms)
         return inner or "0"
-
-
-# config_shuffle materialises every shuffle of every pair of terms: the sum
-# over term pairs (a, b) of C(len a + len b, len a) words.  Beyond this many
-# it raises BadParameters before shuffling.
-MAX_SHUFFLE_WORDS = 1_000_000
 
 
 def config_shuffle(f: ColouredConfiguration,
@@ -402,29 +392,33 @@ def canonicalize(lc: LabelledConfiguration) -> LabelledConfiguration:
     order); the label is transported along.  Two labelled configurations are
     equivalent exactly when their canonical forms coincide.
     """
-    config, label = lc.config, lc.label
-    symbol_map = {s: i for i, s in enumerate(sorted(config.symbols()), start=1)}
-    colour_map = {c: i for i, c in enumerate(sorted(config.palette_star()), start=1)}
-    new_config = ColouredConfiguration(
-        (p.relabel(symbol_map, colour_map), m) for p, m in config.terms)
-    new_label = Label({colour_map[c]: v for c, v in label.assignments.items()})
-    return LabelledConfiguration(new_config, new_label)
+    return _relabelled(lc, 0, 0)
 
 
 def make_strongly_disjoint(lhs: LabelledConfiguration,
                            rhs: LabelledConfiguration) -> LabelledConfiguration:
     """An equivalent copy of ``rhs`` sharing no symbol and no nonzero colour
-    with ``lhs`` (symbols and colours are shifted above those of ``lhs``)."""
-    symbol_off = max(lhs.config.symbols(), default=0)
-    colour_off = max(lhs.config.palette_star(), default=0)
-    canon = canonicalize(rhs)
-    symbol_map = {s: s + symbol_off for s in canon.config.symbols()}
-    colour_map = {c: c + colour_off for c in canon.config.palette_star()}
-    config = ColouredConfiguration(
-        (p.relabel(symbol_map, colour_map), m) for p, m in canon.config.terms)
-    label = Label({colour_map[c]: v
-                   for c, v in canon.label.assignments.items()})
-    return LabelledConfiguration(config, label)
+    with ``lhs``: the canonical form of ``rhs`` with its symbols and colours
+    shifted above those of ``lhs``, built in one relabelling."""
+    return _relabelled(rhs, max(lhs.config.symbols(), default=0),
+                       max(lhs.config.palette_star(), default=0))
+
+
+def _relabelled(lc: LabelledConfiguration, symbol_off: int,
+                colour_off: int) -> LabelledConfiguration:
+    """``lc`` with its symbols relabelled order-preservingly onto
+    ``symbol_off + 1, symbol_off + 2, ...`` and its nonzero colours onto
+    ``colour_off + 1, ...``; the label is transported along."""
+    config = lc.config
+    symbol_map = {s: i for i, s in
+                  enumerate(sorted(config.symbols()), symbol_off + 1)}
+    colour_map = {c: i for i, c in
+                  enumerate(sorted(config.palette_star()), colour_off + 1)}
+    # an order-preserving relabelling keeps the terms distinct and sorted
+    new_config = ColouredConfiguration._normal(tuple(
+        (p.relabel(symbol_map, colour_map), m) for p, m in config.terms))
+    label = Label({colour_map[c]: v for c, v in lc.label.assignments.items()})
+    return LabelledConfiguration(new_config, label)
 
 
 def check_coherence(lhs: LabelledConfiguration,
@@ -440,20 +434,12 @@ def merge_labels(lhs: LabelledConfiguration,
                  rhs: LabelledConfiguration) -> Label:
     """The merged label: lhs's values on lhs's colours, rhs's on the rest.
 
-    For strongly disjoint operands this is the pointwise product.  Raises
-    NotCoherent when the operands share a symbol or disagree on a shared
-    colour.
+    Each label holds only its nontrivial values on its own colours, and
+    coherence makes the two agree on shared colours, so the merge is the
+    union of the two assignments.  For strongly disjoint operands this is
+    the pointwise product.  Raises NotCoherent when the operands share a
+    symbol or disagree on a shared colour.
     """
     if not check_coherence(lhs, rhs):
         raise NotCoherent("configurations share symbols or disagree on a colour")
-    merged: dict[int, SignedMonomial] = {}
-    left_palette = lhs.config.palette_star()
-    for c in left_palette:
-        v = lhs.label(c)
-        if not v.is_one():
-            merged[c] = v
-    for c in rhs.config.palette_star() - left_palette:
-        v = rhs.label(c)
-        if not v.is_one():
-            merged[c] = v
-    return Label(merged)
+    return Label({**rhs.label.assignments, **lhs.label.assignments})

@@ -56,17 +56,6 @@ def monomial(*pairs) -> Monomial:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    if len(b) == 1:
-        # splice b's one variable into a's sorted pairs
-        var, exp = b[0]
-        for i, (v, e) in enumerate(a):
-            if v < var:
-                continue
-            if v != var:
-                return a[:i] + b + a[i:]
-            e += exp
-            return a[:i] + ((v, e),) + a[i + 1:] if e else a[:i] + a[i + 1:]
-        return a + b
     return monomial(*a, *b) if a and b else a or b
 
 

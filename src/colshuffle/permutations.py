@@ -24,9 +24,10 @@ import itertools
 import re
 from collections import deque
 from itertools import repeat
+from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ParseError, SymbolOverlap
+from .errors import BadParameters, ParseError, SymbolOverlap
 
 __all__ = [
     "ColouredInteger",
@@ -40,6 +41,7 @@ __all__ = [
     "descent_data",
     "interleavings",
     "shuffles",
+    "MAX_SHUFFLE_WORDS",
     "parse_permutation",
     "all_coloured_permutations",
 ]
@@ -290,15 +292,25 @@ def interleavings(xs: tuple, ys: tuple) -> list[tuple]:
     return row[0]
 
 
+# shuffles and configurations.config_shuffle list C(n + m, n) words per pair
+# of an n- and an m-word; beyond this many they raise BadParameters first.
+MAX_SHUFFLE_WORDS = 1_000_000
+
+
 def shuffles(a: ColouredPermutation, b: ColouredPermutation) -> list[ColouredPermutation]:
     """All interleavings of a and b preserving both relative orders.
 
-    Requires disjoint symbol sets.  The output order is deterministic:
-    lexicographic in the set of positions occupied by entries of ``a``.
+    Requires disjoint symbol sets, and at most ``MAX_SHUFFLE_WORDS`` words.
+    The output order is deterministic: lexicographic in the set of positions
+    occupied by entries of ``a``.
     """
     sa, sb = a.symbols(), b.symbols()
     if sa & sb:
         raise SymbolOverlap(f"shared symbols: {sorted(sa & sb)}")
+    count = comb(len(a) + len(b), len(a))
+    if count > MAX_SHUFFLE_WORDS:
+        raise BadParameters(f"the shuffle has {count} words, over the cap of "
+                            f"{MAX_SHUFFLE_WORDS}")
     words = interleavings(tuple((e,) for e in a.entries),
                           tuple((e,) for e in b.entries))
     return ColouredPermutation._raw_many(words)

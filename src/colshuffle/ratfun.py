@@ -82,7 +82,9 @@ class LaurentPoly(MPoly):
     def __repr__(self):
         return self.to_text()
 
-    def to_text(self, var: str = "X", latex: bool = False) -> str:
+    def to_text(self, latex: bool = False) -> str:
+        """Terms by falling power of X, as ``X^2 - 3*X + 1`` (or in LaTeX
+        with ``latex``); ``0`` for the zero polynomial."""
         if not self.coeffs:
             return "0"
         parts = []
@@ -93,8 +95,8 @@ class LaurentPoly(MPoly):
             else:
                 coeff_part = ("" if abs(c) == 1
                               else str(abs(c)) + ("" if latex else "*"))
-                exp_part = (var if e == 1 else
-                            f"{var}^{{{e}}}" if latex else f"{var}^{e}")
+                exp_part = ("X" if e == 1 else
+                            f"X^{{{e}}}" if latex else f"X^{e}")
                 body = coeff_part + exp_part
             parts.append(("-" if c < 0 else "+", body))
         first_sign, first_body = parts[0]

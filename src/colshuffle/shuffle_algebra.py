@@ -72,11 +72,12 @@ def hadamard_via_theorem(lhs: LabelledConfiguration,
 
 def _shuffle_step(lhs: LabelledConfiguration,
                   rhs: LabelledConfiguration) -> LabelledConfiguration:
-    """The shuffled configuration under the merged label."""
+    """The shuffled configuration under the merged label, which fits it as
+    it is: a nonzero shuffle carries every colour of both operands."""
     label = merge_labels(lhs, rhs)
     config = config_shuffle(lhs.config, rhs.config)
     return LabelledConfiguration(config,
-                                 label.restrict(config.palette_star()))
+                                 Label() if config.is_zero() else label)
 
 
 def hadamard_general(lhs: LabelledConfiguration,
@@ -99,8 +100,9 @@ def hadamard_identity() -> LabelledConfiguration:
 
 def hadamard_iterated(lcs: list[LabelledConfiguration],
                       eps: int) -> tuple[LabelledConfiguration, RationalGF]:
-    """Fold the shuffle step of ``hadamard_general`` over a list; W is
-    computed once, for the final configuration."""
+    """Fold the shuffle step of ``hadamard_via_theorem`` (``_shuffle_step``)
+    over a list, each operand made strongly disjoint from the accumulated
+    configuration; W is computed once, for the final configuration."""
     acc = hadamard_identity()
     for lc in lcs:
         acc = _shuffle_step(acc, make_strongly_disjoint(acc, lc))

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from colshuffle import (BadParameters, ColouredConfiguration, Label,
                         evaluate_label, make_strongly_disjoint, merge_labels,
                         parse_labelled_configuration, parse_permutation,
                         shuffles, stat_triple)
+from colshuffle.verify import random_coherent_pair
 from conftest import coloured_permutations, relabel_symbols
 
 P = parse_permutation
@@ -270,3 +272,80 @@ def test_parse_errors():
         parse_labelled_configuration("1 * 1^0\n1 -> -X\n")  # label off-palette
     with pytest.raises(ParseError):
         parse_labelled_configuration('{"config": 3}')
+
+
+# -- the coherent-pair pipeline against its former routes -----------------------
+
+def relabelled_by_maps(lc, symbol_map, colour_map):
+    """``lc`` under the two maps, rebuilt through the sorting constructor."""
+    config = ColouredConfiguration(
+        (p.relabel(symbol_map, colour_map), m) for p, m in lc.config.terms)
+    return LabelledConfiguration(config, Label(
+        {colour_map[c]: v for c, v in lc.label.assignments.items()}))
+
+
+def canonical_form(lc):
+    """Oracle: symbols onto 1..k and nonzero colours onto 1..m in order."""
+    return relabelled_by_maps(
+        lc, {s: i for i, s in enumerate(sorted(lc.config.symbols()), 1)},
+        {c: i for i, c in enumerate(sorted(lc.config.palette_star()), 1)})
+
+
+def shifted_canonical_form(lhs, rhs):
+    """Oracle: the canonical form of ``rhs``, then its symbols and colours
+    shifted above those of ``lhs``, in two relabellings."""
+    symbol_off = max(lhs.config.symbols(), default=0)
+    colour_off = max(lhs.config.palette_star(), default=0)
+    canon = canonical_form(rhs)
+    return relabelled_by_maps(
+        canon, {s: s + symbol_off for s in canon.config.symbols()},
+        {c: c + colour_off for c in canon.config.palette_star()})
+
+
+def merged_colour_by_colour(lhs, rhs):
+    """Oracle: lhs's nontrivial values on lhs's colours, then rhs's on the
+    colours lhs does not have, one colour at a time."""
+    merged = {}
+    left_palette = lhs.config.palette_star()
+    for c in left_palette:
+        if not lhs.label(c).is_one():
+            merged[c] = lhs.label(c)
+    for c in rhs.config.palette_star() - left_palette:
+        if not rhs.label(c).is_one():
+            merged[c] = rhs.label(c)
+    return Label(merged)
+
+
+@given(labelled_configurations(range(1, 7)), labelled_configurations(range(4, 10)))
+def test_make_strongly_disjoint_is_the_shifted_canonical_form(lhs, rhs):
+    # ColouredConfiguration equality compares the ordered terms, so this
+    # also checks that the one relabelling keeps the normal-form order
+    assert make_strongly_disjoint(lhs, rhs) == shifted_canonical_form(lhs, rhs)
+    assert canonicalize(rhs) == canonical_form(rhs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_merge_labels_is_the_colour_by_colour_merge(seed):
+    rng = random.Random(seed)
+    shared = 0
+    for _ in range(60):
+        lhs, rhs = random_coherent_pair(rng)
+        assert merge_labels(lhs, rhs) == merged_colour_by_colour(lhs, rhs)
+        assert merge_labels(rhs, lhs) == merged_colour_by_colour(rhs, lhs)
+        shared += bool(lhs.label.support() & rhs.label.support())
+    # the draws exercise labels that share colours
+    assert shared
+
+
+def test_merge_labels_refuses_a_shared_symbol_and_a_disagreeing_colour():
+    lhs = LabelledConfiguration(config_of("1^1 2^0"),
+                                Label({1: SignedMonomial(-1, 1)}))
+    shared_symbol = LabelledConfiguration(config_of("2^1"),
+                                          Label({1: SignedMonomial(-1, 1)}))
+    disagreeing = LabelledConfiguration(config_of("3^1"),
+                                        Label({1: SignedMonomial(-1, 2)}))
+    for rhs in (shared_symbol, disagreeing):
+        with pytest.raises(NotCoherent):
+            merge_labels(lhs, rhs)
+        with pytest.raises(NotCoherent):
+            merge_labels(rhs, lhs)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,9 @@ from hypothesis import given, strategies as st
 from colshuffle import (ColouredInteger, ColouredPermutation, ParseError,
                         StatTriple, SymbolOverlap, descent_data, descent_set,
                         parse_permutation, s_des, shuffles, stat_triple)
-from colshuffle.permutations import all_coloured_permutations, s_des_raw
+from colshuffle import BadParameters, configurations
+from colshuffle.permutations import (MAX_SHUFFLE_WORDS,
+                                     all_coloured_permutations, s_des_raw)
 from conftest import (coloured_integers, coloured_permutations,
                       relabel_symbols)
 
@@ -235,3 +238,15 @@ def test_validation():
         ColouredPermutation([(0, 0)])
     with pytest.raises(ValueError):
         ColouredPermutation([(2, -1)])
+
+
+def test_shuffles_refuse_over_the_cap_before_enumerating():
+    a = ColouredPermutation((s, 0) for s in range(1, 13))
+    b = ColouredPermutation((s, 1) for s in range(13, 25))
+    assert math.comb(24, 12) > MAX_SHUFFLE_WORDS
+    start = time.perf_counter()
+    with pytest.raises(BadParameters, match="2704156 words"):
+        shuffles(a, b)
+    assert time.perf_counter() - start < 0.5
+    # the cap is the one config_shuffle counts against
+    assert configurations.MAX_SHUFFLE_WORDS is MAX_SHUFFLE_WORDS

@@ -551,3 +551,14 @@ def test_black_box_statistic_shares_phase_one_scores():
     assert not sampled - swept
     swept -= sampled
     assert max(swept.values()) == 1
+
+
+def test_theorem_with_a_zero_operand_is_zero_under_the_empty_label():
+    zero = LabelledConfiguration(ColouredConfiguration(), Label())
+    labelled = lc_of({1: SignedMonomial(-1, 2)}, "1^1 2^0")
+    disjoint = lc_of({1: SignedMonomial(-1, 2)}, "3^1")
+    for lhs, rhs in ((zero, labelled), (disjoint, zero)):
+        lc, result = hadamard_via_theorem(lhs, rhs, 1)
+        assert lc.config.is_zero()
+        assert lc.label == Label()
+        assert result == RationalGF.zero()
