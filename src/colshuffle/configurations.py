@@ -301,6 +301,16 @@ class LabelledConfiguration:
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "label", label)
 
+    @classmethod
+    def _trusted(cls, config: ColouredConfiguration,
+                 label: Label) -> "LabelledConfiguration":
+        # no support check: for a label known to fit the configuration's
+        # colours, such as the merged label of a nonzero shuffle
+        self = object.__new__(cls)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "label", label)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("LabelledConfiguration is immutable")
 

@@ -31,8 +31,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .configurations import (LabelledConfiguration, SignedMonomial,
-                             _json_int, evaluate_label)
+from .configurations import (MAX_SHUFFLE_WORDS, LabelledConfiguration,
+                             SignedMonomial, _json_int, evaluate_label)
 from .errors import BadParameters, OrderMismatch, ParseError, ZeroSubstitution
 from .mpoly import (Coeff, MPoly, divide_by_factors, hadamard_numerator,
                     multiply_by_factors)
@@ -323,11 +323,18 @@ def expand(r: RationalGF, order: int = DEFAULT_ORDER) -> SeriesY:
     """Exact Y-power-series expansion of ``r`` through Y^order.
 
     Multiplying the result back by the denominator reproduces the numerator
-    through the truncation order.  A negative Y-degree in the numerator
-    raises ``BadParameters``.
+    through the truncation order.  A negative Y-degree in the numerator, or
+    an order whose product with the numerator's term count plus one is over
+    ``MAX_SHUFFLE_WORDS``, raises ``BadParameters`` before the series is
+    allocated.
     """
     if order < 0:
         raise BadParameters(f"series order must be >= 0, got {order}")
+    terms = sum(len(lp.coeffs) for lp in r.numerator.values())
+    if order * (terms + 1) > MAX_SHUFFLE_WORDS:
+        raise BadParameters(
+            f"series order {order} with {terms} numerator terms is over the "
+            f"cap: order * (terms + 1) may not exceed {MAX_SHUFFLE_WORDS}")
     _check_power_series(r)
     coeffs = [r.numerator.get(k, LaurentPoly.zero()) for k in range(order + 1)]
     return SeriesY(divide_by_factors(coeffs, r.denominator))

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import (chain, combinations, islice, permutations, product,
                        repeat)
-from operator import add, itemgetter, mul
+from operator import add, and_, getitem, itemgetter, mul
 from typing import Callable, Hashable
 
 from .configurations import (ColouredConfiguration, Label,
@@ -73,11 +73,12 @@ def hadamard_via_theorem(lhs: LabelledConfiguration,
 def _shuffle_step(lhs: LabelledConfiguration,
                   rhs: LabelledConfiguration) -> LabelledConfiguration:
     """The shuffled configuration under the merged label, which fits it as
-    it is: a nonzero shuffle carries every colour of both operands."""
+    it is, so it is not checked again: a nonzero shuffle carries every
+    colour of both operands."""
     label = merge_labels(lhs, rhs)
     config = config_shuffle(lhs.config, rhs.config)
-    return LabelledConfiguration(config,
-                                 Label() if config.is_zero() else label)
+    return LabelledConfiguration._trusted(
+        config, Label() if config.is_zero() else label)
 
 
 def hadamard_general(lhs: LabelledConfiguration,
@@ -215,6 +216,65 @@ STATISTICS: dict[str, Statistic] = {
 }
 
 
+# -- phase 2's values of the built-in statistics, from descent masks ---------
+#
+# Bit j >= 1 of a mask stands for positions j - 1, j of a word of length n,
+# and bit 0 for a nonzero first colour.  The descents of stat_triple_raw are
+# bit 0, the pairs with c_{j-1} < c_j, and the pairs with c_{j-1} = c_j and
+# s_{j-1} > s_j; s_des_raw records the pairs with c_{j-1} != c_j and the same
+# equal-colour symbol descents.  So a word's mask is base | (eq & sd): base
+# (the lt or ne pairs) and eq depend on its colouring alone, and sd (its
+# symbol descents) on its symbol order alone.
+
+def _comaj(n: int, mask: int) -> int:
+    return sum(n - j for j in range(n) if mask >> j & 1)
+
+
+def _col(colouring: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(Counter(colouring).items()))
+
+
+def _sdes(n: int, colouring: tuple[int, ...], mask: int) -> tuple:
+    if not n:
+        return ()
+    return tuple((j, colouring[j - 1]) for j in range(1, n)
+                 if mask >> j & 1) + ((n, colouring[-1]),)
+
+
+# (raw, base on colour changes rather than rises, value(n, colouring, mask)),
+# found by the identity of ``raw``: a wrapper with its own raw, a user
+# statistic and phase 1 keep the per-word route
+_DESCENT_VALUES = (
+    (STATISTICS["des"].raw, False, lambda n, c, mask: mask.bit_count()),
+    (STATISTICS["comaj"].raw, False, lambda n, c, mask: _comaj(n, mask)),
+    (STATISTICS["col"].raw, False, lambda n, c, mask: _col(c)),
+    (STATISTICS["des_comaj_col"].raw, False,
+     lambda n, c, mask: (mask.bit_count(), _comaj(n, mask), _col(c))),
+    (STATISTICS["sdes"].raw, True, _sdes),
+)
+
+
+def _colouring_rows(n: int, colours: int, changes: bool, value
+                    ) -> tuple[list[int], list[dict]]:
+    """For each colouring of length n, in ``product`` order: its eq mask,
+    and its values keyed by the submasks of eq, the symbol descents that
+    can count."""
+    eqs, rows = [], []
+    for c in product(range(colours), repeat=n):
+        pairs = list(enumerate(zip(c, c[1:]), 1))
+        eq = sum(1 << j for j, (x, y) in pairs if x == y)
+        if changes:
+            base = sum(1 << j for j, (x, y) in pairs if x != y)
+        else:
+            base = sum(1 << j for j, (x, y) in pairs if x < y)
+            if c and c[0]:
+                base |= 1
+        eqs.append(eq)
+        rows.append({sub: value(n, c, base | sub)
+                     for sub in range(eq + 1) if sub & eq == sub})
+    return eqs, rows
+
+
 @dataclass
 class CompatReport:
     statistic: str
@@ -277,7 +337,10 @@ def _gather(indices: list[int]):
 
 class _Scorer:
     """Evaluates a statistic once per word and interns its values to small
-    ids, so that multisets of values are sorted lists of ints."""
+    ids, so that multisets of values are sorted lists of ints.  A built-in
+    statistic of ``_DESCENT_VALUES`` is read off descent masks instead: the
+    colouring tables of each length are built once, and each symbol order
+    contributes one symbol-descent mask."""
 
     def __init__(self, raw_stat, colours: int):
         self.raw_stat = raw_stat
@@ -286,12 +349,17 @@ class _Scorer:
         self._ids: dict = {}    # statistic value -> id
         self._letters: dict = {}  # symbol -> its ColouredInteger per colour
         self._sides: dict = {}  # symbol set -> (words, ids) of its variants
+        self._masked = next(((changes, value)
+                             for raw, changes, value in _DESCENT_VALUES
+                             if raw is raw_stat), None)
+        self._rows: dict = {}   # length -> (eqs, rows) of its colourings
+        self._by_order: dict = {}  # (length, sd mask) -> ids of colourings
 
-    def score(self, words) -> list[int]:
-        """The value id of each word, evaluating the statistic once per
-        word; new values get the next ids in order of first occurrence."""
+    def intern(self, values) -> list[int]:
+        """The id of each value; new values get the next ids in order of
+        first occurrence."""
         ids: list[int] = []
-        values = map(self.raw_stat, words)
+        values = iter(values)
         while chunk := list(islice(values, 4096)):
             for value in dict.fromkeys(chunk):
                 if value not in self._ids:
@@ -312,12 +380,36 @@ class _Scorer:
             product(*map(self._letters.__getitem__, order))
             for order in permutations(symbols))
 
+    def ids(self, symbols: tuple[int, ...], words) -> list[int]:
+        """The value ids of ``words``, the words over ``symbols`` in
+        ``words`` order: the statistic evaluated once per word, or read off
+        descent masks without looking at ``words``."""
+        if self._masked is None:
+            return self.intern(map(self.raw_stat, words))
+        return list(chain.from_iterable(map(self._order_ids,
+                                            permutations(symbols))))
+
+    def _order_ids(self, order: tuple[int, ...]) -> list[int]:
+        """The value ids of the colourings of one symbol order, in
+        ``product`` order, kept per length and symbol-descent mask."""
+        n = len(order)
+        sd = sum(1 << j for j, (x, y) in enumerate(zip(order, order[1:]), 1)
+                 if x > y)
+        ids = self._by_order.get((n, sd))
+        if ids is None:
+            if n not in self._rows:
+                self._rows[n] = _colouring_rows(n, self.colours, *self._masked)
+            eqs, rows = self._rows[n]
+            ids = self._by_order[n, sd] = self.intern(
+                map(getitem, rows, map(and_, eqs, repeat(sd))))
+        return ids
+
     def side(self, symbols: tuple[int, ...]) -> tuple[list, list[int]]:
         """The words over ``symbols`` and their value ids, kept per set."""
         cached = self._sides.get(symbols)
         if cached is None:
             words = list(self.words(symbols))
-            cached = self._sides[symbols] = (words, self.score(words))
+            cached = self._sides[symbols] = (words, self.ids(symbols, words))
         return cached
 
     def counts(self, multiset: list[int]) -> list[tuple[str, int]]:
@@ -345,7 +437,7 @@ def _sweep(scorer: _Scorer, max_len: int, colours: int):
         symbols = tuple(range(1, total + 1))
         # a shorter total's words recur as the variants of the side 1..total
         table = (scorer.side(symbols)[1] if total < max_len
-                 else scorer.score(scorer.words(symbols)))
+                 else scorer.ids(symbols, scorer.words(symbols)))
         block = colours ** total
         symbol_weights = [total ** p for p in range(total)]
         colour_weights = [colours ** (total - 1 - p) for p in range(total)]
@@ -449,11 +541,15 @@ def check_shuffle_compatibility(stat: Statistic, trials: int = 200,
     indexed by the rank of its symbol order and its colouring; and every
     order and colouring of each operand's symbol set.  A statistic without
     ``.raw`` shares phase 1's scores, so no word is evaluated twice outside
-    the random trials.  A pair's multiset is the sorted list of the table
-    entries of its shuffles.  The table holds max_len! * colours**max_len
-    entries; bounds beyond ``MAX_COMPAT_WORDS`` of them, negative
-    ``trials`` or ``max_len``, and ``colours`` < 1 raise ``BadParameters``
-    before any work.
+    the random trials.  The built-in ``des``, ``comaj``, ``col``,
+    ``des_comaj_col`` and ``sdes``, recognised by their ``.raw`` function,
+    are not evaluated per word in phase 2: their values are read off
+    descent masks, from colouring tables built once per length and one
+    symbol-descent mask per symbol order.  A pair's multiset is the sorted
+    list of the table entries of its shuffles.  The table holds
+    max_len! * colours**max_len entries; bounds beyond ``MAX_COMPAT_WORDS``
+    of them, negative ``trials`` or ``max_len``, and ``colours`` < 1 raise
+    ``BadParameters`` before any work.
 
     Returns a report whose ``counterexample`` is None when nothing was
     found.

@@ -288,6 +288,26 @@ def test_hadamard_span_cap(argv, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
+@pytest.mark.parametrize("order", [10**9, 10**18])
+@pytest.mark.parametrize("argv", [
+    ["w", "{left}", "--order"],
+    ["hadamard", "{left}", "{right}", "--verify"],
+    ["verify", "theorem", "--order"],
+])
+def test_huge_series_order_is_refused(argv, order, capsys):
+    """A series order over the cap is refused before the series is
+    allocated."""
+    paths = {side: str(GOLDEN / f"{side}.txt") for side in ("left", "right")}
+    argv = [a.format(**paths) for a in argv] + [str(order)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(order) in err
+
+
 def _golden_cases():
     # left.txt has a label with a negative X-exponent; in right.txt two
     # terms cancel in W

@@ -12,7 +12,7 @@ from colshuffle import (BadParameters, ColouredConfiguration, Label,
                         expand, hadamard_iterated, hadamard_ud,
                         parse_permutation, scale_y, stat_triple, substitute,
                         w_of)
-from colshuffle import mpoly
+from colshuffle import mpoly, ratfun
 from colshuffle.configurations import MAX_SHUFFLE_WORDS
 from colshuffle.mpoly import multiply_by_factors
 from colshuffle.ratfun import _times_factors, hadamard
@@ -395,6 +395,15 @@ def test_hadamard_kernel_rejects_non_w_denominators():
                 RationalGF.from_factors([], [(2, 0), (1, 1)])):
         with pytest.raises(ValueError):
             hadamard([w, bad], 1)
+
+
+def test_expand_refuses_an_order_over_the_cap(monkeypatch):
+    # numerator 1 - X^-1 Y: two terms, so the order may be cap / 3
+    r = RationalGF.from_factors([(one, -1)], [(one, 0), (one, 1)])
+    monkeypatch.setattr(ratfun, "MAX_SHUFFLE_WORDS", 30)
+    assert len(expand(r, 10).coefficients) == 11
+    with pytest.raises(BadParameters, match="30"):
+        expand(r, 11)
 
 
 def test_expand_rejects_negative_y_degrees():

@@ -88,6 +88,15 @@ def test_theorem_against_series_oracle(seed):
         assert expand(closed, 10) == oracle
 
 
+def test_shuffle_step_label_passes_the_support_check():
+    """``_shuffle_step`` skips the constructor's support check; its label
+    passes that check on random coherent pairs."""
+    rng = random.Random(5)
+    for _ in range(200):
+        lc = shuffle_algebra._shuffle_step(*random_coherent_pair(rng))
+        assert LabelledConfiguration(lc.config, lc.label) == lc
+
+
 def test_hadamard_general_same_symbols(two_letter_pair):
     lhs, _ = two_letter_pair
     # squaring an operand that shares its own symbols and colours
@@ -418,6 +427,9 @@ def first_symbol_from_length_4(a):
 
 
 HARNESS_STATISTICS = {
+    "des": STATISTICS["des"],
+    "comaj": STATISTICS["comaj"],
+    "col": STATISTICS["col"],
     "des_comaj_col": STATISTICS["des_comaj_col"],
     "sdes": STATISTICS["sdes"],
     "first_symbol": STATISTICS["first_symbol"],
@@ -562,3 +574,70 @@ def test_theorem_with_a_zero_operand_is_zero_under_the_empty_label():
         assert lc.config.is_zero()
         assert lc.label == Label()
         assert result == RationalGF.zero()
+
+
+# -- the built-in statistics read off descent masks ---------------------------
+
+MASK_ROUTE = ("des", "comaj", "col", "des_comaj_col", "sdes")
+
+
+def raw_values(words):
+    """Each built-in statistic's ``raw`` on each word.  On more than 10,000
+    words des, comaj and col are read off the des_comaj_col triple, whose
+    components their ``raw`` functions return, to keep the test short."""
+    values = {name: list(map(STATISTICS[name].raw, words))
+              for name in ("des_comaj_col", "sdes")}
+    for k, name in enumerate(("des", "comaj", "col")):
+        values[name] = ([triple[k] for triple in values["des_comaj_col"]]
+                        if len(words) > 10_000
+                        else list(map(STATISTICS[name].raw, words)))
+    return values
+
+
+@pytest.mark.parametrize("colours", [1, 2, 3, 4])
+def test_mask_route_values_equal_raw(colours):
+    """Phase 2 reads the five built-in statistics off descent masks; on
+    every order and colouring of contiguous, non-contiguous and unsorted
+    symbol sets of length 0..6 within the sweep's cap, the values are those
+    of ``raw`` word by word."""
+    for n in range(7):
+        count = math.factorial(n) * colours ** n
+        if count > shuffle_algebra.MAX_COMPAT_WORDS:
+            continue
+        symbol_sets = [tuple(range(1, n + 1))]
+        if count <= 10_000:
+            symbol_sets += [(2, 5, 7, 11, 12, 20)[:n],
+                            (7, 2, 20, 5, 12, 9)[:n]]
+        for symbols in symbol_sets:
+            words = list(shuffle_algebra._Scorer(None, colours).words(symbols))
+            want = raw_values(words)
+            for name in MASK_ROUTE:
+                scorer = shuffle_algebra._Scorer(STATISTICS[name].raw, colours)
+                assert scorer._masked is not None
+                got = [scorer.values[i] for i in scorer.ids(symbols, words)]
+                assert got == want[name], (name, symbols)
+
+
+@pytest.mark.parametrize("max_len,colours", [(4, 2), (5, 3)])
+@pytest.mark.parametrize("name", MASK_ROUTE)
+def test_wrapped_builtin_keeps_the_per_word_route(name, max_len, colours):
+    """A wrapper with its own ``raw``, as the benchmark's tracer makes, is
+    scored word by word and reports what the built-in reports."""
+    builtin = STATISTICS[name]
+    evaluated = 0
+
+    def wrapped(a):
+        return builtin(a)
+
+    def raw(entries):
+        nonlocal evaluated
+        evaluated += 1
+        return builtin.raw(entries)
+
+    wrapped.raw = raw
+    kwargs = dict(trials=20, max_len=max_len, colours=colours, seed=3,
+                  statistic_name=name)
+    got = check_shuffle_compatibility(wrapped, **kwargs).to_json_obj()
+    want = check_shuffle_compatibility(builtin, **kwargs).to_json_obj()
+    assert evaluated >= math.factorial(max_len) * colours ** max_len
+    assert json.dumps(got) == json.dumps(want)
