@@ -28,7 +28,7 @@ from .errors import BadParameters, ColshuffleError, ParseError, UnknownFamily
 from .permutations import descent_set, parse_permutation, s_des, stat_triple
 from .ratfun import RationalGF, expand, w_of
 from .shuffle_algebra import hadamard_via_theorem
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, series_oracle
 from .zeta import FAMILY_PARAMS, build_entry, hadamard_entries
 
 _USAGE_ERROR = 2
@@ -122,9 +122,7 @@ def cmd_hadamard(args) -> int:
     lc, rgf = hadamard_via_theorem(lhs, rhs, args.eps)
     order = args.verify
     if order is not None:  # before any output: a bad order prints nothing
-        oracle = expand(w_of(lhs, args.eps), order).hadamard(
-            expand(w_of(rhs, args.eps), order))
-        ok = expand(rgf, order) == oracle
+        ok = series_oracle(lhs, rhs, rgf, args.eps, order)
     if args.format == "json":
         obj = lc.to_json_obj()
         obj["eps"] = args.eps

@@ -160,7 +160,9 @@ def hadamard_numerator(operands: Sequence[tuple[Mapping[int, dict], int, int]],
     recurrences on l1 norms.  The result is unpacked once and divided by
     the product of the scales.  ``BadParameters`` is raised when a packed
     int could span more than ``MAX_SHUFFLE_WORDS`` digits, as a large
-    exponent spread or ``eps`` would make it.
+    exponent spread or ``eps`` would make it, checked before the l1 norms;
+    and when it could take more than ``MAX_SHUFFLE_WORDS`` bytes, digits
+    times the width, as many blocks with wide coefficients would make it.
     """
     order = sum(n * mult for _, n, mult in operands)
     # the widest packed int has at most this many digits: each operand's
@@ -194,6 +196,9 @@ def hadamard_numerator(operands: Sequence[tuple[Mapping[int, dict], int, int]],
     for _ in range(order + 1):
         products = [products[0], *map(add, products[1:], products)]
     width = _width(max(bound, *products))
+    if digits * width > MAX_SHUFFLE_WORDS:
+        raise BadParameters(f"the Hadamard product packs up to {digits * width}"
+                            f" bytes, over the cap of {MAX_SHUFFLE_WORDS}")
     bits = 8 * width
     # pack and expand each operand; the product's Y^k digit 0 stands for
     # X^(base + k*low)

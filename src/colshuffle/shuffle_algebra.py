@@ -216,61 +216,33 @@ STATISTICS: dict[str, Statistic] = {
 }
 
 
-# -- phase 2's values of the built-in statistics, from descent masks ---------
-#
-# Bit j >= 1 of a mask stands for positions j - 1, j of a word of length n,
-# and bit 0 for a nonzero first colour.  The descents of stat_triple_raw are
-# bit 0, the pairs with c_{j-1} < c_j, and the pairs with c_{j-1} = c_j and
-# s_{j-1} > s_j; s_des_raw records the pairs with c_{j-1} != c_j and the same
-# equal-colour symbol descents.  So a word's mask is base | (eq & sd): base
-# (the lt or ne pairs) and eq depend on its colouring alone, and sd (its
-# symbol descents) on its symbol order alone.
-
-def _comaj(n: int, mask: int) -> int:
-    return sum(n - j for j in range(n) if mask >> j & 1)
+# phase 2 reads these built-ins off descent masks; a wrapper with its own
+# raw, a user statistic and phase 1 keep the per-word route
+_MASK_ROUTE = frozenset(STATISTICS[name].raw for name in (
+    "des", "comaj", "col", "des_comaj_col", "sdes"))
 
 
-def _col(colouring: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(Counter(colouring).items()))
+def _symbol_descents(order: tuple[int, ...]) -> int:
+    """Bit j set where ``order`` descends from position j - 1 to j."""
+    return sum(1 << j for j, (x, y) in enumerate(zip(order, order[1:]), 1)
+               if x > y)
 
 
-def _sdes(n: int, colouring: tuple[int, ...], mask: int) -> tuple:
-    if not n:
-        return ()
-    return tuple((j, colouring[j - 1]) for j in range(1, n)
-                 if mask >> j & 1) + ((n, colouring[-1]),)
-
-
-# (raw, base on colour changes rather than rises, value(n, colouring, mask)),
-# found by the identity of ``raw``: a wrapper with its own raw, a user
-# statistic and phase 1 keep the per-word route
-_DESCENT_VALUES = (
-    (STATISTICS["des"].raw, False, lambda n, c, mask: mask.bit_count()),
-    (STATISTICS["comaj"].raw, False, lambda n, c, mask: _comaj(n, mask)),
-    (STATISTICS["col"].raw, False, lambda n, c, mask: _col(c)),
-    (STATISTICS["des_comaj_col"].raw, False,
-     lambda n, c, mask: (mask.bit_count(), _comaj(n, mask), _col(c))),
-    (STATISTICS["sdes"].raw, True, _sdes),
-)
-
-
-def _colouring_rows(n: int, colours: int, changes: bool, value
-                    ) -> tuple[list[int], list[dict]]:
-    """For each colouring of length n, in ``product`` order: its eq mask,
-    and its values keyed by the submasks of eq, the symbol descents that
-    can count."""
+def _colouring_rows(n: int, colours: int, raw) -> tuple[list[int], list[dict]]:
+    """For each colouring of length n, in ``product`` order: its eq mask (bit
+    j set where colours j - 1 and j are equal), and the values of ``raw``
+    keyed by the submasks of eq.  A built-in sees a word only through its
+    colouring and its symbol descents where the colour repeats, so the value
+    at a submask is ``raw`` of one word: the colouring over the first order
+    of 1..n, in ``permutations`` order, with those symbol descents."""
+    orders: dict = {}
+    for order in permutations(range(1, n + 1)):
+        orders.setdefault(_symbol_descents(order), order)
     eqs, rows = [], []
     for c in product(range(colours), repeat=n):
-        pairs = list(enumerate(zip(c, c[1:]), 1))
-        eq = sum(1 << j for j, (x, y) in pairs if x == y)
-        if changes:
-            base = sum(1 << j for j, (x, y) in pairs if x != y)
-        else:
-            base = sum(1 << j for j, (x, y) in pairs if x < y)
-            if c and c[0]:
-                base |= 1
+        eq = sum(1 << j for j, (x, y) in enumerate(zip(c, c[1:]), 1) if x == y)
         eqs.append(eq)
-        rows.append({sub: value(n, c, base | sub)
+        rows.append({sub: raw(tuple(map(ColouredInteger, orders[sub], c)))
                      for sub in range(eq + 1) if sub & eq == sub})
     return eqs, rows
 
@@ -338,9 +310,9 @@ def _gather(indices: list[int]):
 class _Scorer:
     """Evaluates a statistic once per word and interns its values to small
     ids, so that multisets of values are sorted lists of ints.  A built-in
-    statistic of ``_DESCENT_VALUES`` is read off descent masks instead: the
-    colouring tables of each length are built once, and each symbol order
-    contributes one symbol-descent mask."""
+    whose ``raw`` is in ``_MASK_ROUTE`` is read off descent masks instead:
+    the colouring rows of each length are filled once by ``raw`` itself, and
+    each symbol order contributes one symbol-descent mask."""
 
     def __init__(self, raw_stat, colours: int):
         self.raw_stat = raw_stat
@@ -349,9 +321,7 @@ class _Scorer:
         self._ids: dict = {}    # statistic value -> id
         self._letters: dict = {}  # symbol -> its ColouredInteger per colour
         self._sides: dict = {}  # symbol set -> (words, ids) of its variants
-        self._masked = next(((changes, value)
-                             for raw, changes, value in _DESCENT_VALUES
-                             if raw is raw_stat), None)
+        self._masked = raw_stat if raw_stat in _MASK_ROUTE else None
         self._rows: dict = {}   # length -> (eqs, rows) of its colourings
         self._by_order: dict = {}  # (length, sd mask) -> ids of colourings
 
@@ -393,12 +363,11 @@ class _Scorer:
         """The value ids of the colourings of one symbol order, in
         ``product`` order, kept per length and symbol-descent mask."""
         n = len(order)
-        sd = sum(1 << j for j, (x, y) in enumerate(zip(order, order[1:]), 1)
-                 if x > y)
+        sd = _symbol_descents(order)
         ids = self._by_order.get((n, sd))
         if ids is None:
             if n not in self._rows:
-                self._rows[n] = _colouring_rows(n, self.colours, *self._masked)
+                self._rows[n] = _colouring_rows(n, self.colours, self._masked)
             eqs, rows = self._rows[n]
             ids = self._by_order[n, sd] = self.intern(
                 map(getitem, rows, map(and_, eqs, repeat(sd))))
@@ -544,12 +513,12 @@ def check_shuffle_compatibility(stat: Statistic, trials: int = 200,
     the random trials.  The built-in ``des``, ``comaj``, ``col``,
     ``des_comaj_col`` and ``sdes``, recognised by their ``.raw`` function,
     are not evaluated per word in phase 2: their values are read off
-    descent masks, from colouring tables built once per length and one
-    symbol-descent mask per symbol order.  A pair's multiset is the sorted
-    list of the table entries of its shuffles.  The table holds
-    max_len! * colours**max_len entries; bounds beyond ``MAX_COMPAT_WORDS``
-    of them, negative ``trials`` or ``max_len``, and ``colours`` < 1 raise
-    ``BadParameters`` before any work.
+    descent masks, from colouring tables that their own ``.raw`` fills once
+    per length and one symbol-descent mask per symbol order.  A pair's
+    multiset is the sorted list of the table entries of its shuffles.  The
+    table holds max_len! * colours**max_len entries; bounds beyond
+    ``MAX_COMPAT_WORDS`` of them, negative ``trials`` or ``max_len``, and
+    ``colours`` < 1 raise ``BadParameters`` before any work.
 
     Returns a report whose ``counterexample`` is None when nothing was
     found.

@@ -273,9 +273,11 @@ def test_unitriangular_cap(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["zeta", "hadamard", "mat:1000000001,1000000000"],
     ["zeta", "hadamard", "mat:1000000001,1"],
+    ["zeta", "hadamard", *["mat:2,1"] * 200],
 ])
 def test_hadamard_span_cap(argv, capsys):
-    """An exponent spread or an eps of 10^9 is refused before any packing."""
+    """An exponent spread or an eps of 10^9, and 200 blocks whose packed
+    ints would take 18 MB, are refused before any packing."""
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
@@ -288,24 +290,38 @@ def test_hadamard_span_cap(argv, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("order", [10**9, 10**18])
+@pytest.mark.parametrize("value", [10**9, 10**18])
 @pytest.mark.parametrize("argv", [
-    ["w", "{left}", "--order"],
-    ["hadamard", "{left}", "{right}", "--verify"],
-    ["verify", "theorem", "--order"],
+    ["w", "{left}", "--order", "{value}"],
+    ["hadamard", "{left}", "{right}", "--verify", "{value}"],
+    ["verify", "theorem", "--order", "{value}"],
+    ["verify", "theorem", "--max-len", "{value}"],
+    ["verify", "theorem", "--max-support", "{value}"],
+    ["verify", "qsym", "--max-len", "{value}"],
+    ["verify", "qsym", "--cutoff", "{value}"],
+    ["verify", "qsym", "--colours", "{value}"],
+    ["verify", "psi", "--max-len", "{value}"],
+    ["verify", "psi", "--t-order", "{value}"],
+    ["verify", "psi", "--colours", "{value}"],
+    ["verify", "compat", "--max-total-len", "{value}"],
+    ["verify", "compat", "--colours", "{value}"],
+    ["verify", "catalog", "--max-d", "{value}"],
+    ["zeta", "verify", "--max-d", "{value}"],
+    ["zeta", "build", "unitriangular_oc", "{value}"],
+    ["zeta", "hadamard", "unitriangular_oc:{value}"],
 ])
-def test_huge_series_order_is_refused(argv, order, capsys):
-    """A series order over the cap is refused before the series is
-    allocated."""
+def test_huge_series_order_is_refused(argv, value, capsys):
+    """A series order, and every other integer option that a documented cap
+    bounds, is refused at 10^9 and 10^18 before any work is sized by it."""
     paths = {side: str(GOLDEN / f"{side}.txt") for side in ("left", "right")}
-    argv = [a.format(**paths) for a in argv] + [str(order)]
+    argv = [a.format(value=value, **paths) for a in argv]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(order) in err
+    assert str(value) in err
 
 
 def _golden_cases():
