@@ -24,12 +24,12 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .configurations import make_strongly_disjoint, parse_labelled_configuration
-from .errors import BadParameters, ColshuffleError, ParseError, UnknownFamily
+from .errors import BadParameters, ColshuffleError, ParseError
 from .permutations import descent_set, parse_permutation, s_des, stat_triple
 from .ratfun import RationalGF, expand, w_of
 from .shuffle_algebra import hadamard_via_theorem
 from .verify import SUITES, run_suite, series_oracle
-from .zeta import FAMILY_PARAMS, build_entry, hadamard_entries
+from .zeta import build_entry, family_params, hadamard_entries
 
 _USAGE_ERROR = 2
 _VERIFY_ERROR = 1
@@ -151,10 +151,7 @@ def cmd_verify(args) -> int:
 
 
 def _parse_family_params(family: str, values: list[int]) -> dict:
-    if family not in FAMILY_PARAMS:
-        raise UnknownFamily(f"unknown family {family!r}; "
-                            f"known: {', '.join(sorted(FAMILY_PARAMS))}")
-    names = FAMILY_PARAMS[family]
+    names = family_params(family)
     if len(values) != len(names):
         raise BadParameters(
             f"family {family} takes {len(names)} parameter(s) {names}, "
@@ -188,6 +185,15 @@ def cmd_zeta_hadamard(args) -> int:
     else:
         _emit(result.to_json_obj())
     return 0
+
+
+def _add_bounds(parser, *suites) -> None:
+    """One integer option per bound the ``suites`` take, named from their
+    signatures as ``cmd_verify`` reads them back; an option not given is
+    None."""
+    for name in dict.fromkeys(name for suite in suites
+                              for name in inspect.signature(suite).parameters):
+        parser.add_argument("--" + name.replace("_", "-"), type=int)
 
 
 def _add_format(parser) -> None:
@@ -231,21 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hadamard)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite",
-                   help="one of: theorem, qsym, psi, compat, catalog")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--max-support", dest="max_support", type=int, default=None)
-    p.add_argument("--exp-range", dest="exp_range", type=int, default=None)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--t-order", dest="t_order", type=int, default=None)
-    p.add_argument("--colours", type=int, default=None)
-    p.add_argument("--max-total-len", dest="max_total_len", type=int,
-                   default=None)
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
-    p.add_argument("--max-d", dest="max_d", type=int, default=None)
+    p.add_argument("suite", help=f"one of: {', '.join(SUITES)}")
+    _add_bounds(p, *SUITES.values())
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("zeta", help="zeta-function catalog")
@@ -265,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     pz.set_defaults(func=cmd_zeta_hadamard)
 
     pz = zeta_sub.add_parser("verify", help="catalog identity sweep")
-    pz.add_argument("--max-n", dest="max_n", type=int, default=None)
-    pz.add_argument("--max-d", dest="max_d", type=int, default=None)
+    _add_bounds(pz, SUITES["catalog"])
     pz.set_defaults(func=cmd_verify, suite="catalog")
 
     return parser

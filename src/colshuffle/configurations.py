@@ -18,9 +18,9 @@ from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import BadParameters, NotCoherent, ParseError, SymbolOverlap
-from .permutations import (MAX_SHUFFLE_WORDS, ColouredPermutation,
-                           interleavings, parse_permutation)
+from .errors import (MAX_SHUFFLE_WORDS, NotCoherent, ParseError,
+                     SymbolOverlap, check_cap)
+from .permutations import ColouredPermutation, interleavings, parse_permutation
 
 __all__ = [
     "SignedMonomial",
@@ -239,10 +239,7 @@ def config_shuffle(f: ColouredConfiguration,
     g_lengths = Counter(len(b) for b, _ in g.terms)
     words = sum(k * l * comb(n + m, n) for n, k in f_lengths.items()
                 for m, l in g_lengths.items())
-    if words > MAX_SHUFFLE_WORDS:
-        raise BadParameters(
-            f"the shuffle has {words} words, over the cap of "
-            f"{MAX_SHUFFLE_WORDS}")
+    check_cap(words, "the shuffle has {} words", MAX_SHUFFLE_WORDS)
     # Restricting a shuffle of a and b to the symbols of f gives back a, so
     # the words are pairwise distinct over all term pairs and already in
     # normal form once sorted.  An entry is coded by its rank in the colour

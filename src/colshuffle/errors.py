@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the resource contract:
+the one work cap and the two checks that refuse a bound with
+``BadParameters``."""
+
+# Every exponential path (shuffles, the compat sweep, the exhaustive
+# suites, series expansion, the Hadamard kernel's packed ints) refuses work
+# counted past this many units before it starts.
+MAX_SHUFFLE_WORDS = 1_000_000
 
 
 class ColshuffleError(Exception):
@@ -53,3 +60,18 @@ class DeltaMismatch(ColshuffleError):
 
 class UnknownSuite(ColshuffleError):
     """Unrecognised verification suite name."""
+
+
+def check_at_least(minimum: int, **bounds: int) -> None:
+    """Raise ``BadParameters`` naming the first bound below ``minimum``."""
+    for name, value in bounds.items():
+        if value < minimum:
+            raise BadParameters(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_cap(count: int, what: str, cap: int) -> None:
+    """Raise ``BadParameters`` if ``count`` is over ``cap``.  ``what`` is a
+    template whose ``{}`` stands for the count; it is formatted only on
+    refusal."""
+    if count > cap:
+        raise BadParameters(f"{what.format(count)}, over the cap of {cap}")

@@ -36,8 +36,7 @@ from math import lcm
 from operator import add
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
-from .configurations import MAX_SHUFFLE_WORDS
-from .errors import BadParameters
+from .errors import MAX_SHUFFLE_WORDS, check_cap
 
 Coeff = Union[int, Fraction]
 
@@ -181,9 +180,8 @@ def hadamard_numerator(operands: Sequence[tuple[Mapping[int, dict], int, int]],
                          for e, c in row.items()} for row in rows],
                        n, mult, lo))
         scale *= lcd ** mult
-    if digits > MAX_SHUFFLE_WORDS:
-        raise BadParameters(f"the Hadamard product spans up to {digits} "
-                            f"X-exponents, over the cap of {MAX_SHUFFLE_WORDS}")
+    check_cap(digits, "the Hadamard product spans up to {} X-exponents",
+              MAX_SHUFFLE_WORDS)
     # l1 norms through the same recurrences bound every result coefficient
     bound = 0
     products = [1] * (order + 1)
@@ -196,9 +194,8 @@ def hadamard_numerator(operands: Sequence[tuple[Mapping[int, dict], int, int]],
     for _ in range(order + 1):
         products = [products[0], *map(add, products[1:], products)]
     width = _width(max(bound, *products))
-    if digits * width > MAX_SHUFFLE_WORDS:
-        raise BadParameters(f"the Hadamard product packs up to {digits * width}"
-                            f" bytes, over the cap of {MAX_SHUFFLE_WORDS}")
+    check_cap(digits * width, "the Hadamard product packs up to {} bytes",
+              MAX_SHUFFLE_WORDS)
     bits = 8 * width
     # pack and expand each operand; the product's Y^k digit 0 stands for
     # X^(base + k*low)

@@ -27,7 +27,7 @@ from itertools import repeat
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import BadParameters, ParseError, SymbolOverlap
+from .errors import MAX_SHUFFLE_WORDS, ParseError, SymbolOverlap, check_cap
 
 __all__ = [
     "ColouredInteger",
@@ -292,11 +292,6 @@ def interleavings(xs: tuple, ys: tuple) -> list[tuple]:
     return row[0]
 
 
-# shuffles and configurations.config_shuffle list C(n + m, n) words per pair
-# of an n- and an m-word; beyond this many they raise BadParameters first.
-MAX_SHUFFLE_WORDS = 1_000_000
-
-
 def shuffles(a: ColouredPermutation, b: ColouredPermutation) -> list[ColouredPermutation]:
     """All interleavings of a and b preserving both relative orders.
 
@@ -308,9 +303,7 @@ def shuffles(a: ColouredPermutation, b: ColouredPermutation) -> list[ColouredPer
     if sa & sb:
         raise SymbolOverlap(f"shared symbols: {sorted(sa & sb)}")
     count = comb(len(a) + len(b), len(a))
-    if count > MAX_SHUFFLE_WORDS:
-        raise BadParameters(f"the shuffle has {count} words, over the cap of "
-                            f"{MAX_SHUFFLE_WORDS}")
+    check_cap(count, "the shuffle has {} words", MAX_SHUFFLE_WORDS)
     words = interleavings(tuple((e,) for e in a.entries),
                           tuple((e,) for e in b.entries))
     return ColouredPermutation._raw_many(words)

@@ -31,9 +31,10 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .configurations import (MAX_SHUFFLE_WORDS, LabelledConfiguration,
-                             SignedMonomial, _json_int, evaluate_label)
-from .errors import BadParameters, OrderMismatch, ParseError, ZeroSubstitution
+from .configurations import (LabelledConfiguration, SignedMonomial, _json_int,
+                             evaluate_label)
+from .errors import (MAX_SHUFFLE_WORDS, BadParameters, OrderMismatch,
+                     ParseError, ZeroSubstitution, check_at_least, check_cap)
 from .mpoly import (Coeff, MPoly, divide_by_factors, hadamard_numerator,
                     multiply_by_factors)
 from .permutations import stat_triple_raw
@@ -328,13 +329,10 @@ def expand(r: RationalGF, order: int = DEFAULT_ORDER) -> SeriesY:
     ``MAX_SHUFFLE_WORDS``, raises ``BadParameters`` before the series is
     allocated.
     """
-    if order < 0:
-        raise BadParameters(f"series order must be >= 0, got {order}")
+    check_at_least(0, order=order)
     terms = sum(len(lp.coeffs) for lp in r.numerator.values())
-    if order * (terms + 1) > MAX_SHUFFLE_WORDS:
-        raise BadParameters(
-            f"series order {order} with {terms} numerator terms is over the "
-            f"cap: order * (terms + 1) may not exceed {MAX_SHUFFLE_WORDS}")
+    check_cap(order * (terms + 1), f"series order {order} with {terms} "
+              "numerator terms takes {} coefficient slots", MAX_SHUFFLE_WORDS)
     _check_power_series(r)
     coeffs = [r.numerator.get(k, LaurentPoly.zero()) for k in range(order + 1)]
     return SeriesY(divide_by_factors(coeffs, r.denominator))

@@ -27,7 +27,8 @@ from typing import Callable, Hashable
 from .configurations import (ColouredConfiguration, Label,
                              LabelledConfiguration, config_shuffle,
                              make_strongly_disjoint, merge_labels)
-from .errors import BadParameters
+from .errors import MAX_SHUFFLE_WORDS as MAX_COMPAT_WORDS
+from .errors import check_at_least, check_cap
 from .mpoly import MPoly, divide_by_factors, monomial
 from .permutations import (ColouredInteger, ColouredPermutation, EMPTY,
                            StatTriple, s_des, s_des_raw, stat_triple,
@@ -188,12 +189,6 @@ def h_of(a: ColouredPermutation) -> HImage:
 
 Statistic = Callable[[ColouredPermutation], Hashable]
 
-# The exhaustive sweep keeps one score per coloured permutation of the
-# largest total length, max_len! * colours**max_len of them; the acceptance
-# bound (length 6, 3 colours) needs 524,880.
-MAX_COMPAT_WORDS = 1_000_000
-
-
 def _with_raw(func: Statistic, raw) -> Statistic:
     """Attach an entries-sequence fast path used by the exhaustive sweep."""
     func.raw = raw  # type: ignore[attr-defined]
@@ -277,18 +272,19 @@ def _random_relabelling_case(rng: random.Random, max_len: int, colours: int):
 
 
 def _check_compat_bounds(trials: int, max_len: int, colours: int) -> None:
-    for name, value, minimum in (("trials", trials, 0), ("max_len", max_len, 0),
-                                 ("colours", colours, 1)):
-        if value < minimum:
-            raise BadParameters(f"{name} must be >= {minimum}, got {value}")
+    """The sweep keeps one score per coloured permutation of the largest
+    total length, max_len! * colours**max_len of them, counted here until
+    past the cap; the acceptance bound (length 6, 3 colours) needs 524,880."""
+    check_at_least(0, trials=trials, max_len=max_len)
+    check_at_least(1, colours=colours)
     words = 1
     for length in range(1, max_len + 1):
         words *= length * colours
         if words > MAX_COMPAT_WORDS:
-            raise BadParameters(
-                f"max_len {max_len} with {colours} colours exceeds the "
-                f"{MAX_COMPAT_WORDS} words the sweep may score "
-                f"(max_len! * colours**max_len)")
+            break
+    check_cap(words, f"max_len {max_len} with {colours} colours gives the "
+              "sweep at least {} words to score (max_len! * colours**max_len)",
+              MAX_COMPAT_WORDS)
 
 
 def _parts(digit_words, position_sets: list[tuple[int, ...]],

@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 import random
 
-from .configurations import (MAX_SHUFFLE_WORDS, ColouredConfiguration, Label,
+from .configurations import (ColouredConfiguration, Label,
                              LabelledConfiguration, SignedMonomial)
-from .errors import BadParameters, UnknownSuite
+from .errors import (MAX_SHUFFLE_WORDS, BadParameters, UnknownSuite,
+                     check_at_least, check_cap)
+from .errors import MAX_SHUFFLE_WORDS as MAX_SUITE_SIZE
 from .permutations import (ColouredPermutation, all_coloured_permutations,
                            s_des)
 from .qsym import psi_closed_form_check, verify_product_rule
@@ -38,45 +40,29 @@ __all__ = [
 ]
 
 
-# bounds that must be positive; every other checked bound may be 0
-_POSITIVE = frozenset({"max_support", "cutoff", "colours"})
-
-
-def _check_bounds(**bounds: int) -> None:
-    for name, value in bounds.items():
-        minimum = 1 if name in _POSITIVE else 0
-        if value < minimum:
-            raise BadParameters(f"{name} must be >= {minimum}, got {value}")
-
-
 # The exhaustive psi and qsym suites enumerate every coloured permutation of
 # length <= max_len (every pair of them for qsym).  qsym expands F once per
 # coloured descent class, for up to n = 2 * max_len letters at index cutoff
 # m in up to C(m+n-1, n) monomials, and forms F_a * F_b once per pair of
 # classes; psi fills, for each of n = max_len letters, m = t_order + 1
 # rows of up to n * m digits, a table of n * m * (n * m) (at least m, for
-# the empty word).  Both counts are capped here; the acceptance bounds need
-# 2,128 words and a table of 1,296 (psi), and 484 pairs and 35 monomials
-# (qsym).
-MAX_SUITE_SIZE = 1_000_000
-
-
-def _check_suite_size(max_len: int, colours: int, *, pairs: bool,
-                      size: int, what: str) -> None:
+# the empty word).  Both counts are capped by MAX_SUITE_SIZE, the words
+# first, so that the size is only computed for a few letters; the
+# acceptance bounds need 2,128 words and a table of 1,296 (psi), and 484
+# pairs and 35 monomials (qsym).
+def _check_suite_words(max_len: int, colours: int, *, pairs: bool) -> None:
     """Raise ``BadParameters`` when the words (or pairs of words) a suite
-    enumerates, or the ``size`` of its largest case (``what``, named in the
-    error), exceed ``MAX_SUITE_SIZE``."""
-    words = term = 1
+    enumerates, counted until past the cap, exceed ``MAX_SUITE_SIZE``."""
+    words = term = count = 1
     for n in range(1, max_len + 1):
         term *= n * colours
         words += term
-        if (words * words if pairs else words) > MAX_SUITE_SIZE:
-            raise BadParameters(
-                f"max_len {max_len} with {colours} colours enumerates more "
-                f"than {MAX_SUITE_SIZE} {'word pairs' if pairs else 'words'}")
-    if size > MAX_SUITE_SIZE:
-        raise BadParameters(f"{what} ({size}) exceeds the cap of "
-                            f"{MAX_SUITE_SIZE}")
+        count = words * words if pairs else words
+        if count > MAX_SUITE_SIZE:
+            break
+    check_cap(count, f"max_len {max_len} with {colours} colours enumerates "
+              "at least {} " + ("word pairs" if pairs else "words"),
+              MAX_SUITE_SIZE)
 
 
 _POOL = 6  # symbols each operand of random_coherent_pair draws from
@@ -87,16 +73,14 @@ def _check_pair_bounds(max_support: int, max_len: int, exp_range: int) -> None:
     these bounds: ``max_len`` at most the symbol pool, and ``max_support``
     terms a side at that length shuffling to at most ``MAX_SHUFFLE_WORDS``
     words."""
-    _check_bounds(max_support=max_support, max_len=max_len,
-                  exp_range=exp_range)
+    check_at_least(1, max_support=max_support)
+    check_at_least(0, max_len=max_len, exp_range=exp_range)
     if max_len > _POOL:
         raise BadParameters(f"max_len {max_len} is above the {_POOL} symbols "
                             f"each random operand draws from")
-    words = max_support ** 2 * math.comb(2 * max_len, max_len)
-    if words > MAX_SHUFFLE_WORDS:
-        raise BadParameters(
-            f"max_support {max_support} at max_len {max_len} may shuffle "
-            f"{words} words, over the cap of {MAX_SHUFFLE_WORDS}")
+    check_cap(max_support ** 2 * math.comb(2 * max_len, max_len),
+              f"max_support {max_support} at max_len {max_len} may shuffle "
+              "{} words", MAX_SHUFFLE_WORDS)
 
 
 def _random_config(rng: random.Random, symbols: list[int], colours: list[int],
@@ -156,7 +140,7 @@ def theorem_suite(trials: int = 200, order: int = 10, seed: int = 0,
     series kernel (``hadamard_general``) must give that closed form
     structurally.  A failure names the check that failed.  The operand
     bounds are those of ``random_coherent_pair``."""
-    _check_bounds(trials=trials, order=order)
+    check_at_least(0, trials=trials, order=order)
     _check_pair_bounds(max_support, max_len, exp_range)
     rng = random.Random(seed)
     failures = []
@@ -178,11 +162,13 @@ def theorem_suite(trials: int = 200, order: int = 10, seed: int = 0,
 def qsym_suite(max_len: int = 2, cutoff: int = 4, colours: int = 3) -> dict:
     """Exhaustive product rule for fundamental expansions: F_a * F_b equals
     the sum of F_c over shuffles, for all disjoint pairs up to the bounds."""
-    _check_bounds(max_len=max_len, cutoff=cutoff, colours=colours)
+    check_at_least(0, max_len=max_len)
+    check_at_least(1, cutoff=cutoff, colours=colours)
     n = 2 * max_len
-    _check_suite_size(max_len, colours, pairs=True,
-                      size=max(math.comb(cutoff + n - 1, n), cutoff),
-                      what=f"the expansion of {n} letters at cutoff {cutoff}")
+    _check_suite_words(max_len, colours, pairs=True)
+    check_cap(max(math.comb(cutoff + n - 1, n), cutoff),
+              f"the expansion of {n} letters at cutoff {cutoff} has "
+              "{} monomials", MAX_SUITE_SIZE)
     cases = 0
     failures = []
     expansions: dict = {}
@@ -201,12 +187,13 @@ def qsym_suite(max_len: int = 2, cutoff: int = 4, colours: int = 3) -> dict:
 def psi_suite(max_len: int = 4, t_order: int = 8, colours: int = 3) -> dict:
     """Exhaustive check of the specialisation closed form, one permutation
     per coloured-descent-set class."""
-    _check_bounds(max_len=max_len, t_order=t_order, colours=colours)
+    check_at_least(0, max_len=max_len, t_order=t_order)
+    check_at_least(1, colours=colours)
     m = t_order + 1
-    _check_suite_size(max_len, colours, pairs=False,
-                      size=max((max_len * m) ** 2, m),
-                      what=f"the table of {max_len} letters at t_order "
-                           f"{t_order}")
+    _check_suite_words(max_len, colours, pairs=False)
+    check_cap(max((max_len * m) ** 2, m),
+              f"{max_len} letters at t_order {t_order} fill a table of "
+              "{} entries", MAX_SUITE_SIZE)
     cases = 0
     failures = []
     for n in range(0, max_len + 1):
@@ -227,8 +214,8 @@ def compat_suite(max_total_len: int = 5, trials: int = 200, seed: int = 0,
                  colours: int = 3) -> dict:
     """Shuffle-compatibility harness: the descent statistics must be clean
     and the planted non-statistic control must be caught."""
-    _check_bounds(max_total_len=max_total_len, trials=trials,
-                  colours=colours)
+    check_at_least(0, max_total_len=max_total_len, trials=trials)
+    check_at_least(1, colours=colours)
     reports = []
     failures = []
     for name in ("des_comaj_col", "sdes"):
@@ -255,22 +242,23 @@ def catalog_suite(max_n: int = 4, max_d: int = 5) -> dict:
     defining identity is checked symbolically, once per process (a row
     built earlier in the process was checked then).  ``max_d`` above
     ``MAX_UNITRIANGULAR_D`` is refused before any row is built."""
-    _check_bounds(max_n=max_n, max_d=max_d)
+    check_at_least(0, max_n=max_n, max_d=max_d)
     if max_d > MAX_UNITRIANGULAR_D:
         raise BadParameters(f"max_d {max_d} is above {MAX_UNITRIANGULAR_D}, "
                             f"the largest unitriangular_oc d")
     cases = 0
     failures = []
+    ds, ns = range(1, max_d + 1), range(1, max_n + 1)
+    # generators: a row's parameters are drawn just before it is built
     grids = {
-        "mat": [{"d": d, "e": e} for d in range(1, max_d + 1)
-                for e in range(1, max_d + 1)],
-        "so": [{"d": d} for d in range(1, max_d + 1)],
-        "f2d_cc": [{"d": d} for d in range(1, max_d + 1)],
-        "threshold": [{"n": n} for n in range(1, max_n + 1)],
-        "threshold_cc": [{"n": n} for n in range(1, max_n + 1)],
-        "Tn": [{"n": n} for n in range(1, max_n + 1)],
-        "Tn_cc": [{"n": n} for n in range(1, max_n + 1)],
-        "unitriangular_oc": [{"d": d} for d in range(1, max_d + 1)],
+        "mat": ({"d": d, "e": e} for d in ds for e in ds),
+        "so": ({"d": d} for d in ds),
+        "f2d_cc": ({"d": d} for d in ds),
+        "threshold": ({"n": n} for n in ns),
+        "threshold_cc": ({"n": n} for n in ns),
+        "Tn": ({"n": n} for n in ns),
+        "Tn_cc": ({"n": n} for n in ns),
+        "unitriangular_oc": ({"d": d} for d in ds),
     }
     for family, grid in grids.items():
         for params in grid:

@@ -37,9 +37,10 @@ from dataclasses import dataclass, field
 from math import comb, prod
 from typing import Iterable, Sequence
 
-from .configurations import (MAX_SHUFFLE_WORDS, ColouredConfiguration, Label,
+from .configurations import (ColouredConfiguration, Label,
                              LabelledConfiguration, SignedMonomial)
-from .errors import BadParameters, DeltaMismatch, UnknownFamily
+from .errors import (MAX_SHUFFLE_WORDS, BadParameters, DeltaMismatch,
+                     UnknownFamily, check_at_least)
 from .permutations import ColouredInteger, ColouredPermutation
 from .ratfun import RationalGF, equal, hadamard, scale_y, w_of
 
@@ -56,6 +57,7 @@ __all__ = [
     "hadamard_entries",
     "ZetaHadamardResult",
     "FAMILY_PARAMS",
+    "family_params",
     "MAX_UNITRIANGULAR_D",
 ]
 
@@ -140,6 +142,14 @@ _ENTRY_CACHE_SIZE = 256
 MAX_UNITRIANGULAR_D = MAX_SHUFFLE_WORDS.bit_length() - 1
 
 
+def family_params(family: str) -> tuple[str, ...]:
+    """The parameter names of ``family``, or ``UnknownFamily``."""
+    if family not in FAMILY_PARAMS:
+        raise UnknownFamily(f"unknown family {family!r}; "
+                            f"known: {', '.join(sorted(FAMILY_PARAMS))}")
+    return FAMILY_PARAMS[family]
+
+
 def build_entry(family: str, **params: int) -> ZetaEntry:
     """Construct a catalog entry, checking the defining identity.
 
@@ -150,15 +160,11 @@ def build_entry(family: str, **params: int) -> ZetaEntry:
     built and checked once per process and then shared, so a cached row
     keeps its configuration alive.
     """
-    if family not in FAMILY_PARAMS:
-        raise UnknownFamily(f"unknown family {family!r}; "
-                            f"known: {', '.join(sorted(FAMILY_PARAMS))}")
-    expected = FAMILY_PARAMS[family]
+    expected = family_params(family)
     if set(params) != set(expected):
         raise BadParameters(
             f"family {family} takes parameters {expected}, got {tuple(params)}")
-    if any(v < 1 for v in params.values()):
-        raise BadParameters("parameters must be positive integers")
+    check_at_least(1, **params)
     if family == "unitriangular_oc" and params["d"] > MAX_UNITRIANGULAR_D:
         raise BadParameters(
             f"unitriangular_oc d = {params['d']} builds 2^d colourings, over "
@@ -263,8 +269,7 @@ def hadamard_mde(dims: Sequence[tuple[int, int]]) -> RationalGF:
     deltas = {d - e for d, e in dims}
     if len(deltas) != 1:
         raise DeltaMismatch(f"differences d-e differ: {sorted(deltas)}")
-    if any(d < 1 or e < 1 for d, e in dims):
-        raise BadParameters("dimensions must be positive")
+    check_at_least(1, d=min(d for d, _ in dims), e=min(e for _, e in dims))
     delta = deltas.pop()
     return hadamard([_closed([-e], [0, delta]) for _, e in dims], delta)
 
@@ -289,8 +294,7 @@ def hadamard_f2d(d_list: Sequence[int]) -> F2dFormula:
     colouring sum with eps = 1, from the blocks' ``so`` closed forms."""
     if not d_list:
         raise BadParameters("need at least one d")
-    if any(d < 1 for d in d_list):
-        raise BadParameters("generator counts must be positive")
+    check_at_least(1, d=min(d_list))
     rgf = hadamard([_closed([1 - d], [0, 1]) for d in d_list], 1)
     shift = SignedMonomial.x_power(-sum(comb(d, 2) for d in d_list))
     return F2dFormula(rgf, shift, (_CONDITION_ODD,))
@@ -319,8 +323,7 @@ def hadamard_ud(d_list: Sequence[int]) -> UdFormula:
     length + 1), computed by the series kernel from the blocks' closed
     forms; ``t_size``, the size of that set, is the multinomial coefficient.
     """
-    if any(d < 0 for d in d_list):
-        raise BadParameters("block sizes must be nonnegative")
+    check_at_least(0, d=min(d_list, default=0))
     rgf = hadamard([_closed([-1] * d, [0] * (d + 1)) for d in d_list], 0)
     t_size = prod(map(comb, itertools.accumulate(d_list), d_list))
     m = max(d_list, default=0)

@@ -1,15 +1,27 @@
+import argparse
 import importlib
+import inspect
 import json
 import pkgutil
+import random
 import shlex
+import signal
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import colshuffle
+from colshuffle import (BadParameters, ColouredConfiguration,
+                        ColouredPermutation, LaurentPoly, RationalGF,
+                        check_shuffle_compatibility, config_shuffle, shuffles,
+                        verify)
 from colshuffle.cli import _write_json, build_parser, main
+from colshuffle.ratfun import hadamard
+from colshuffle.shuffle_algebra import STATISTICS
+from colshuffle.zeta import hadamard_mde
 
 
 @pytest.fixture
@@ -365,6 +377,129 @@ def test_golden_stdout(name, argv, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_a_flag_the_suite_does_not_take_is_ignored(capsys):
+    code, out, _ = run(capsys, "verify", "psi", "--max-len", "2", "--t-order",
+                       "6", "--colours", "2", "--trials", "5")
+    assert (code, out) == (0, (GOLDEN / "verify_psi.out").read_text())
+
+
+def _subparser(parser, *path):
+    for name in path:
+        action, = (a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[name]
+    return parser
+
+
+def _int_options(parser):
+    return {a.dest for a in parser._actions if a.type is int}
+
+
+def _suite_bounds(*suites):
+    return {name for suite in suites
+            for name in inspect.signature(suite).parameters}
+
+
+def test_verify_flags_are_the_suites_bounds():
+    parser = build_parser()
+    verify_options = _int_options(_subparser(parser, "verify"))
+    assert verify_options == _suite_bounds(*verify.SUITES.values())
+    assert len(verify_options) == 12
+    assert (_int_options(_subparser(parser, "zeta", "verify"))
+            == _suite_bounds(verify.catalog_suite) == {"max_n", "max_d"})
+
+
+def _word(first, last):
+    return ColouredPermutation((s, 0) for s in range(first, last + 1))
+
+
+def _spread(top):
+    return RationalGF({0: LaurentPoly({0: 1, top: 1})}, [(1, 0)])
+
+
+@pytest.mark.parametrize("refused,count", [
+    (lambda: shuffles(_word(1, 12), _word(13, 24)), 2704156),
+    (lambda: config_shuffle(ColouredConfiguration([(_word(1, 12), 1)]),
+                            ColouredConfiguration([(_word(13, 24), 1)])),
+     2704156),
+    (lambda: hadamard([_spread(10**6)], 0), 1000001),
+    (lambda: hadamard_mde([(2, 1)] * 200), 18205627),
+    (lambda: check_shuffle_compatibility(STATISTICS["des"], max_len=7,
+                                         colours=3), 11022480),
+    (lambda: verify.qsym_suite(max_len=5, colours=3), 4528384),
+    (lambda: verify.qsym_suite(max_len=2, cutoff=100), 4421275),
+    (lambda: verify.psi_suite(max_len=9, colours=5), 11640806),
+    (lambda: verify.psi_suite(max_len=4, t_order=250, colours=1), 1008016),
+    (lambda: verify.random_coherent_pair(random.Random(0), max_support=33,
+                                         max_len=6), 1006236),
+], ids=["shuffles", "config_shuffle", "kernel_digits", "kernel_bytes",
+        "harness", "qsym_words", "qsym_expansion", "psi_words", "psi_table",
+        "random_coherent_pair"])
+def test_every_library_cap_names_its_count_and_the_cap(refused, count):
+    with pytest.raises(BadParameters) as exc:
+        refused()
+    message = str(exc.value)
+    assert f" {count} " in message
+    assert message.endswith(", over the cap of 1000000")
+
+
+def test_suite_words_are_refused_before_the_case_size_is_computed(capsys):
+    """With both bounds at 10^6, qsym's expansion size would be a binomial
+    of 2 * 10^6 letters; the word count refuses first."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "qsym", "--max-len", "1000000",
+                         "--cutoff", "1000000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: max_len 1000000 with 3 colours")
+
+
+def test_catalog_rows_are_drawn_one_at_a_time(monkeypatch):
+    """The sweep draws each row's parameters just before building it, in
+    family order and, within a family, in increasing parameters."""
+    built = []
+
+    class Enough(Exception):
+        pass
+
+    def stop(*_):
+        raise Enough
+
+    def record(family, **params):
+        built.append((family, params))
+        if len(built) == limit:
+            stop()
+
+    monkeypatch.setattr(verify, "build_entry", record)
+    limit = None
+    verify.catalog_suite(max_n=2, max_d=2)
+    assert built == (
+        [("mat", {"d": d, "e": e}) for d in (1, 2) for e in (1, 2)]
+        + [(family, {"d": d}) for family in ("so", "f2d_cc") for d in (1, 2)]
+        + [(family, {"n": n})
+           for family in ("threshold", "threshold_cc", "Tn", "Tn_cc")
+           for n in (1, 2)]
+        + [("unitriangular_oc", {"d": d}) for d in (1, 2)])
+    built.clear()
+    limit = 3
+    # a sweep that builds its grids eagerly is stopped after 1 s, long
+    # before 10^9 rows would fill the memory
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Enough):
+            verify.catalog_suite(max_n=10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        tracemalloc.stop()
+    assert len(built) == 3
+    assert peak < 1_000_000
 
 
 def test_one_parser_serves_every_call(capsys):
