@@ -208,9 +208,6 @@ class ColouredConfiguration:
     def max_length(self) -> int:
         return max((len(p) for p, _ in self.terms), default=0)
 
-    def __add__(self, other: "ColouredConfiguration") -> "ColouredConfiguration":
-        return ColouredConfiguration(self.terms + other.terms)
-
     def __eq__(self, other):
         return (isinstance(other, ColouredConfiguration)
                 and self.terms == other.terms)

@@ -320,19 +320,33 @@ def _check_power_series(r: RationalGF) -> None:
                             f"{min(r.numerator)} as a power series")
 
 
+def _series_terms(r: RationalGF, order: int) -> int:
+    """A bound on the X-terms of ``expand(r, order)``: with T the
+    numerator's terms, S its X-exponent span and D (D0) the spread of the
+    denominator's X-exponents (with 0), the Y^k coefficient has at most
+    T*(k*D + 1) terms and at most S + k*D0 + 1; the smaller sum over k."""
+    exps = [a for lp in r.numerator.values() for a in lp.coeffs]
+    if not exps:
+        return 0
+    dens = [a for _, a in r.denominator]
+    spread = max(dens, default=0) - min(dens, default=0)
+    spread0 = max([0, *dens]) - min([0, *dens])
+    slots, sum_k = order + 1, order * (order + 1) // 2
+    return min(len(exps) * (spread * sum_k + slots),
+               (max(exps) - min(exps) + 1) * slots + spread0 * sum_k)
+
+
 def expand(r: RationalGF, order: int = DEFAULT_ORDER) -> SeriesY:
     """Exact Y-power-series expansion of ``r`` through Y^order.
 
     Multiplying the result back by the denominator reproduces the numerator
     through the truncation order.  A negative Y-degree in the numerator, or
-    an order whose product with the numerator's term count plus one is over
-    ``MAX_SHUFFLE_WORDS``, raises ``BadParameters`` before the series is
-    allocated.
+    an order at which ``_series_terms`` is over ``MAX_SHUFFLE_WORDS``,
+    raises ``BadParameters`` before the series is allocated.
     """
     check_at_least(0, order=order)
-    terms = sum(len(lp.coeffs) for lp in r.numerator.values())
-    check_cap(order * (terms + 1), f"series order {order} with {terms} "
-              "numerator terms takes {} coefficient slots", MAX_SHUFFLE_WORDS)
+    check_cap(_series_terms(r, order), f"the series through Y^{order} may "
+              "have {} terms", MAX_SHUFFLE_WORDS)
     _check_power_series(r)
     coeffs = [r.numerator.get(k, LaurentPoly.zero()) for k in range(order + 1)]
     return SeriesY(divide_by_factors(coeffs, r.denominator))

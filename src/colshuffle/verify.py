@@ -24,7 +24,7 @@ from .qsym import psi_closed_form_check, verify_product_rule
 from .ratfun import RationalGF, expand, w_of
 from .shuffle_algebra import (STATISTICS, check_shuffle_compatibility,
                               hadamard_general, hadamard_via_theorem)
-from .zeta import MAX_UNITRIANGULAR_D, build_entry
+from .zeta import FAMILY_PARAMS, MAX_UNITRIANGULAR_D, build_entry
 
 __all__ = [
     "random_coherent_pair",
@@ -237,6 +237,17 @@ def compat_suite(max_total_len: int = 5, trials: int = 200, seed: int = 0,
             "failures": failures}
 
 
+def _grid(names: tuple[str, ...], tops: dict[str, int]):
+    """Each assignment of 1..tops[name] to ``names``, the last fastest,
+    drawn lazily (``itertools.product`` would materialise the ranges)."""
+    if not names:
+        yield {}
+        return
+    for value in range(1, tops[names[0]] + 1):
+        for params in _grid(names[1:], tops):
+            yield {names[0]: value, **params}
+
+
 def catalog_suite(max_n: int = 4, max_d: int = 5) -> dict:
     """Build every catalog family over a parameter grid; each row's
     defining identity is checked symbolically, once per process (a row
@@ -248,20 +259,9 @@ def catalog_suite(max_n: int = 4, max_d: int = 5) -> dict:
                             f"the largest unitriangular_oc d")
     cases = 0
     failures = []
-    ds, ns = range(1, max_d + 1), range(1, max_n + 1)
-    # generators: a row's parameters are drawn just before it is built
-    grids = {
-        "mat": ({"d": d, "e": e} for d in ds for e in ds),
-        "so": ({"d": d} for d in ds),
-        "f2d_cc": ({"d": d} for d in ds),
-        "threshold": ({"n": n} for n in ns),
-        "threshold_cc": ({"n": n} for n in ns),
-        "Tn": ({"n": n} for n in ns),
-        "Tn_cc": ({"n": n} for n in ns),
-        "unitriangular_oc": ({"d": d} for d in ds),
-    }
-    for family, grid in grids.items():
-        for params in grid:
+    tops = {"d": max_d, "e": max_d, "n": max_n}
+    for family, names in FAMILY_PARAMS.items():
+        for params in _grid(names, tops):
             cases += 1
             try:
                 build_entry(family, **params)

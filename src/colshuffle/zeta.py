@@ -3,9 +3,10 @@
 Each catalog family packages a configuration, a label, an exponent ``eps``
 and an argument shift ``u(X)`` such that the associated generating function,
 with Y rescaled by u(X) and X evaluated at the residue field size, equals a
-known zeta function.  The stored closed form is that rescaled function; it
-is recomputed from the configuration and compared when the row is first
-built in a process.
+known zeta function.  Each family is one row function of ``_FAMILIES``;
+the stored closed form is the rescaled function, its denominator W's under
+the shift, and it is recomputed from the configuration and compared when
+the row is first built in a process.
 
 Families (``d``, ``e``, ``n`` positive integers):
 
@@ -26,12 +27,15 @@ Families (``d``, ``e``, ``n`` positive integers):
 The module also provides the direct formulas for iterated Hadamard
 products of matrix-module, class-counting and orbit-counting families: sums
 over colourings of permutation sets, computed in polynomial time by the
-series kernel ``ratfun.hadamard`` from the one-block closed forms.
+series kernel ``ratfun.hadamard`` from the W's of the ``mat`` and
+``f2d_cc`` rows, and from binomial blocks for ``hadamard_ud``, whose rows
+would enumerate 2^d colourings.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 from dataclasses import dataclass, field
 from math import comb, prod
@@ -110,29 +114,46 @@ def underline(n: int) -> ColouredConfiguration:
     return pi_of([range(1, n + 1)])
 
 
-_CONDITION_SO = "residue characteristic != 2"
-_CONDITION_ODD = "odd residue field size"
+_CONDITION_GCD = "gcd(q, {}!) = 1"
 
-FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "mat": ("d", "e"),
-    "so": ("d",),
-    "f2d_cc": ("d",),
-    "threshold": ("n",),
-    "threshold_cc": ("n",),
-    "Tn": ("n",),
-    "Tn_cc": ("n",),
-    "unitriangular_oc": ("d",),
+
+def _threshold(n: int, shift: int) -> tuple:
+    return [-n - 1] * 2, 1, shift, [1 - n, -n], ()
+
+
+def _tn(n: int, shift: int) -> tuple:
+    return [-n - 3] * 2 + [-n - 2] * 2, 1, shift, [-n - 1, -n, -n, 1 - n], ()
+
+
+# family -> function of its parameters giving the row: the exponents k_c,
+# one per colour c of underline(n), which is labelled -X^(k_c); eps; the
+# shift exponent s; the exponents a of W's numerator prod(1 - X^a Y); and
+# the conditions.  The closed form is W with Y rescaled by X^s, so its
+# factors have exponents a + s over s + eps*i for i = 0..n.
+_FAMILIES = {
+    "mat": lambda d, e: ([-d], d - e, 0, [-e], ()),
+    "so": lambda d: ([-d], 1, 0, [1 - d], ("residue characteristic != 2",)),
+    "f2d_cc": lambda d: ([-d], 1, comb(d, 2), [1 - d],
+                         ("odd residue field size",)),
+    "threshold": lambda n: _threshold(n, -1),
+    # the edge count of the graph, minus one
+    "threshold_cc": lambda n: _threshold(n, 3 * comb(n + 1, 2) - 1),
+    "Tn": lambda n: _tn(n, -3),
+    # the edge count minus the ask-row shift
+    "Tn_cc": lambda n: _tn(n, 5 * (n + 1) * (n + 3)),
+    "unitriangular_oc": lambda d: ([-1] * d, 0, 1, [-1] * d,
+                                   (_CONDITION_GCD.format(d),)),
 }
 
-
-def _one(a: int) -> tuple[int, int]:
-    return (1, a)
+FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
+    family: tuple(inspect.signature(row).parameters)
+    for family, row in _FAMILIES.items()}
 
 
 def _closed(num_exps: Sequence[int], den_exps: Sequence[int]) -> RationalGF:
     """prod(1 - X^a Y) over prod(1 - X^b Y) from exponent lists."""
-    return RationalGF.from_factors([_one(a) for a in num_exps],
-                                   [_one(b) for b in den_exps])
+    return RationalGF.from_factors([(1, a) for a in num_exps],
+                                   [(1, b) for b in den_exps])
 
 
 # over 5x the 45 rows a bench stream uses; a parameter sweep stays bounded
@@ -176,78 +197,26 @@ def build_entry(family: str, **params: int) -> ZetaEntry:
 def _checked_entry(family: str, key: tuple[tuple[str, int], ...]) -> ZetaEntry:
     """The row of ``build_entry`` for validated parameters ``key``; a row
     whose identity check fails raises, and so is not cached."""
-    params = dict(key)
-    d = params.get("d")
-    e = params.get("e")
-    n = params.get("n")
-
-    if family == "mat":
-        lc = LabelledConfiguration(underline(1),
-                                   Label({1: SignedMonomial(-1, -d)}))
-        eps = d - e
-        shift = SignedMonomial.one()
-        closed = _closed([-e], [0, d - e])
-        conditions: tuple[str, ...] = ()
-    elif family == "so":
-        lc = LabelledConfiguration(underline(1),
-                                   Label({1: SignedMonomial(-1, -d)}))
-        eps = 1
-        shift = SignedMonomial.one()
-        closed = _closed([1 - d], [0, 1])
-        conditions = (_CONDITION_SO,)
-    elif family == "f2d_cc":
-        lc = LabelledConfiguration(underline(1),
-                                   Label({1: SignedMonomial(-1, -d)}))
-        eps = 1
-        k = comb(d, 2)
-        shift = SignedMonomial.x_power(k)
-        closed = _closed([comb(d - 1, 2)], [k, k + 1])
-        conditions = (_CONDITION_ODD,)
-    elif family in ("threshold", "threshold_cc"):
-        lc = LabelledConfiguration(
-            underline(2),
-            Label({c: SignedMonomial(-1, -n - 1) for c in (1, 2)}))
-        eps = 1
-        if family == "threshold":
-            shift = SignedMonomial.x_power(-1)
-            closed = _closed([-n, -n - 1], [-1, 0, 1])
-        else:
-            k = 3 * comb(n + 1, 2)  # edge count of the graph
-            shift = SignedMonomial.x_power(k - 1)
-            closed = _closed([k - n, k - n - 1], [k - 1, k, k + 1])
-        conditions = ()
-    elif family in ("Tn", "Tn_cc"):
-        lc = LabelledConfiguration(
-            underline(4),
-            Label({1: SignedMonomial(-1, -n - 3),
-                   2: SignedMonomial(-1, -n - 3),
-                   3: SignedMonomial(-1, -n - 2),
-                   4: SignedMonomial(-1, -n - 2)}))
-        eps = 1
-        if family == "Tn":
-            shift = SignedMonomial.x_power(-3)
-            closed = _closed([-n - 4, -n - 3, -n - 3, -n - 2],
-                             [-3, -2, -1, 0, 1])
-        else:
-            k = 5 * (n + 1) * (n + 3)  # edge count minus the ask-row shift
-            shift = SignedMonomial.x_power(k)
-            closed = _closed([k - n - 1, k - n, k - n, k + 1 - n],
-                             [k + i for i in range(5)])
-        conditions = ()
-    else:  # unitriangular_oc
-        lc = LabelledConfiguration(
-            underline(d),
-            Label({c: SignedMonomial(-1, -1) for c in range(1, d + 1)}))
-        eps = 0
-        shift = SignedMonomial.x_power(1)
-        closed = _closed([0] * d, [1] * (d + 1))
-        conditions = (f"gcd(q, {d}!) = 1",)
-
+    labels, eps, s, numerator, conditions = _FAMILIES[family](**dict(key))
+    lc = LabelledConfiguration(
+        underline(len(labels)),
+        Label({c: SignedMonomial(-1, k) for c, k in enumerate(labels, 1)}))
+    shift = SignedMonomial.x_power(s)
+    closed = _closed([a + s for a in numerator],
+                     [s + eps * i for i in range(len(labels) + 1)])
     w = w_of(lc, eps)
     if not equal(scale_y(w, shift), closed):
         raise AssertionError(
-            f"catalog identity failed for {family} {params}")
+            f"catalog identity failed for {family} {dict(key)}")
     return ZetaEntry(family, key, lc, eps, shift, closed, conditions, w)
+
+
+def _merged(entries: Sequence[ZetaEntry]) -> tuple:
+    """The product of the entries' shifts, and their conditions, each once
+    in order of first appearance."""
+    shift = prod((e.shift for e in entries), start=SignedMonomial.one())
+    conditions = dict.fromkeys(c for e in entries for c in e.conditions)
+    return shift, tuple(conditions)
 
 
 # -- direct Hadamard-product formulas ---------------------------------------
@@ -261,7 +230,7 @@ def hadamard_mde(dims: Sequence[tuple[int, int]]) -> RationalGF:
     the symmetric group words of -X^(-d_i)-weighted descent terms over the
     denominator (1 - Y)(1 - X^delta Y) ... (1 - X^(n*delta) Y).
 
-    Computed by the series kernel from the blocks' closed forms
+    Computed by the series kernel from the blocks' ``mat`` rows' W's
     (1 - X^(-e_i) Y) / ((1 - Y)(1 - X^delta Y)), in time polynomial in n.
     """
     if not dims:
@@ -271,7 +240,7 @@ def hadamard_mde(dims: Sequence[tuple[int, int]]) -> RationalGF:
         raise DeltaMismatch(f"differences d-e differ: {sorted(deltas)}")
     check_at_least(1, d=min(d for d, _ in dims), e=min(e for _, e in dims))
     delta = deltas.pop()
-    return hadamard([_closed([-e], [0, delta]) for _, e in dims], delta)
+    return hadamard([build_entry("mat", d=d, e=e).w for d, e in dims], delta)
 
 
 @dataclass(frozen=True)
@@ -291,13 +260,15 @@ class F2dFormula:
 def hadamard_f2d(d_list: Sequence[int]) -> F2dFormula:
     """Hadamard product of the class-counting entries for free
     class-2-nilpotent groups on d_1, ..., d_n generators: ``hadamard_mde``'s
-    colouring sum with eps = 1, from the blocks' ``so`` closed forms."""
+    colouring sum with eps = 1, from the W's of the blocks' ``f2d_cc`` rows,
+    whose shifts and conditions it takes."""
     if not d_list:
         raise BadParameters("need at least one d")
     check_at_least(1, d=min(d_list))
-    rgf = hadamard([_closed([1 - d], [0, 1]) for d in d_list], 1)
-    shift = SignedMonomial.x_power(-sum(comb(d, 2) for d in d_list))
-    return F2dFormula(rgf, shift, (_CONDITION_ODD,))
+    rows = [build_entry("f2d_cc", d=d) for d in d_list]
+    shift, conditions = _merged(rows)
+    return F2dFormula(hadamard([row.w for row in rows], 1), shift ** -1,
+                      conditions)
 
 
 @dataclass(frozen=True)
@@ -320,14 +291,15 @@ def hadamard_ud(d_list: Sequence[int]) -> UdFormula:
 
     The sum of (-X)^(-#nonzero colours) Y^des over all colourings of the
     shuffle set of the consecutive increasing blocks, over (1 - Y)^(total
-    length + 1), computed by the series kernel from the blocks' closed
-    forms; ``t_size``, the size of that set, is the multinomial coefficient.
+    length + 1), computed by the series kernel from the blocks' binomial
+    closed forms; ``t_size``, the size of that set, is the multinomial
+    coefficient.  The conditions are the largest block's row's: a product
+    holds where all its factors do.
     """
     check_at_least(0, d=min(d_list, default=0))
     rgf = hadamard([_closed([-1] * d, [0] * (d + 1)) for d in d_list], 0)
     t_size = prod(map(comb, itertools.accumulate(d_list), d_list))
-    m = max(d_list, default=0)
-    conditions = (f"gcd(q, {max(m - 1, 0)}!) = 1",)
+    conditions = (_CONDITION_GCD.format(max(d_list, default=0)),)
     return UdFormula(rgf, SignedMonomial.x_power(-len(d_list)), t_size,
                      conditions)
 
@@ -366,13 +338,6 @@ def hadamard_entries(entries: Sequence[ZetaEntry]) -> ZetaHadamardResult:
         raise BadParameters(
             f"entries must share the exponent eps; got {sorted(eps_values)}")
     eps = eps_values.pop()
-    shift = SignedMonomial.one()
-    conditions: list[str] = []
-    for entry in entries:
-        shift = shift * entry.shift
-        for c in entry.conditions:
-            if c not in conditions:
-                conditions.append(c)
+    shift, conditions = _merged(entries)
     rgf = hadamard([entry.w for entry in entries], eps)
-    return ZetaHadamardResult(eps, shift, scale_y(rgf, shift),
-                              tuple(conditions))
+    return ZetaHadamardResult(eps, shift, scale_y(rgf, shift), conditions)

@@ -360,8 +360,13 @@ def _golden_cases():
     # both spellings of the catalog sweep print the same report
     yield "zeta_verify", ["zeta", "verify", "--max-n", "2"]
     yield "verify_catalog", ["verify", "catalog", "--max-n", "2"]
-    # the JSON of one catalog entry and of a verify report
+    # the JSON of one catalog entry per family and of a verify report
     yield "zeta_build_json", ["zeta", "build", "Tn", "2"]
+    for family, *params in (("mat", "2", "1"), ("so", "3"), ("f2d_cc", "4"),
+                            ("threshold", "2"), ("threshold_cc", "2"),
+                            ("Tn_cc", "1"), ("unitriangular_oc", "3")):
+        yield (f"zeta_build_{'_'.join([family, *params])}_json",
+               ["zeta", "build", family, *params])
     yield "verify_psi", ["verify", "psi", "--max-len", "2", "--t-order", "6",
                          "--colours", "2"]
     yield "verify_qsym", ["verify", "qsym", "--max-len", "1", "--cutoff", "3",
@@ -470,11 +475,28 @@ def test_catalog_rows_are_drawn_one_at_a_time(monkeypatch):
 
     def record(family, **params):
         built.append((family, params))
-        if len(built) == limit:
+        if len(built) == limit or family == last_family:
             stop()
 
+    def peak_of_sweep(max_n):
+        """The traced peak of a sweep that ``record`` stops; an eager
+        sweep is stopped after 1 s, long before 10^9 rows would fill the
+        memory."""
+        built.clear()
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Enough):
+                verify.catalog_suite(max_n=max_n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+            tracemalloc.stop()
+
     monkeypatch.setattr(verify, "build_entry", record)
-    limit = None
+    limit = last_family = None
     verify.catalog_suite(max_n=2, max_d=2)
     assert built == (
         [("mat", {"d": d, "e": e}) for d in (1, 2) for e in (1, 2)]
@@ -483,23 +505,14 @@ def test_catalog_rows_are_drawn_one_at_a_time(monkeypatch):
            for family in ("threshold", "threshold_cc", "Tn", "Tn_cc")
            for n in (1, 2)]
         + [("unitriangular_oc", {"d": d}) for d in (1, 2)])
-    built.clear()
     limit = 3
-    # a sweep that builds its grids eagerly is stopped after 1 s, long
-    # before 10^9 rows would fill the memory
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(Enough):
-            verify.catalog_suite(max_n=10**9)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-        tracemalloc.stop()
+    assert peak_of_sweep(10**9) < 1_000_000
     assert len(built) == 3
-    assert peak < 1_000_000
+    # the first n-family row: the n range is drawn lazily too (10^6, not
+    # 10^9, because a range materialised in C is not stopped by the alarm)
+    limit, last_family = None, "threshold"
+    assert peak_of_sweep(10**6) < 1_000_000
+    assert built[-1] == ("threshold", {"n": 1})
 
 
 def test_one_parser_serves_every_call(capsys):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,8 +11,8 @@ from colshuffle import (BadParameters, ColouredConfiguration, Label,
                         ParseError, RationalGF, SeriesY, SignedMonomial,
                         ZeroSubstitution, canonicalize, equal, evaluate_label,
                         expand, hadamard_iterated, hadamard_ud,
-                        parse_permutation, scale_y, stat_triple, substitute,
-                        w_of)
+                        parse_labelled_configuration, parse_permutation,
+                        scale_y, stat_triple, substitute, w_of)
 from colshuffle import mpoly, ratfun
 from colshuffle.configurations import MAX_SHUFFLE_WORDS
 from colshuffle.mpoly import multiply_by_factors
@@ -398,12 +399,42 @@ def test_hadamard_kernel_rejects_non_w_denominators():
 
 
 def test_expand_refuses_an_order_over_the_cap(monkeypatch):
-    # numerator 1 - X^-1 Y: two terms, so the order may be cap / 3
+    # numerator 1 - X^-1 Y (span 1) over exponents 0 and 1: the series
+    # through Y^k may have 2(k + 1) + k(k + 1)/2 terms, 27 at k = 5 and 35
+    # at k = 6
     r = RationalGF.from_factors([(one, -1)], [(one, 0), (one, 1)])
     monkeypatch.setattr(ratfun, "MAX_SHUFFLE_WORDS", 30)
-    assert len(expand(r, 10).coefficients) == 11
+    assert len(expand(r, 5).coefficients) == 6
     with pytest.raises(BadParameters, match="30"):
-        expand(r, 11)
+        expand(r, 6)
+
+
+def test_expand_counts_the_terms_of_a_growing_series(monkeypatch):
+    """right.txt's W is 2 / ((1 - Y)(1 - X Y)(1 - X^2 Y)), whose Y^k
+    coefficient has 2k + 1 terms: (order + 1)^2 through Y^order, which is
+    the bound.  At a cap of 10^4, order 100 is refused, though the order
+    times the numerator's terms plus one is only 200."""
+    text = (Path(__file__).parent / "golden" / "right.txt").read_text()
+    w = w_of(parse_labelled_configuration(text), 1)
+    monkeypatch.setattr(ratfun, "MAX_SHUFFLE_WORDS", 10**4)
+    series = expand(w, 99).coefficients
+    assert sum(len(c.coeffs) for c in series) == 100 ** 2
+    with pytest.raises(BadParameters, match="10201 terms"):
+        expand(w, 100)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 10),
+       st.dictionaries(st.integers(0, 3), laurent_polys(), max_size=3),
+       st.lists(st.tuples(st.sampled_from((one, -one, 2 * one)),
+                          st.integers(-3, 3)), max_size=4))
+# (1 + Y) / (1 - X^2 Y): the Y^k coefficient X^(2k) + X^(2k - 2) spans 2,
+# the spread with 0 included, though the denominator's own spread is 0
+@example(3, {0: LaurentPoly.one(), 1: LaurentPoly.one()}, [(one, 2)])
+def test_series_terms_bound_the_expansion(order, numerator, denominator):
+    r = RationalGF(numerator, denominator)
+    terms = sum(len(c.coeffs) for c in expand(r, order).coefficients)
+    assert terms <= ratfun._series_terms(r, order)
 
 
 def test_expand_rejects_negative_y_degrees():

@@ -554,6 +554,15 @@ def test_ud_single_block_binomial_identity():
         assert equal(result.rgf, closed([-1] * d, [0] * (d + 1)))
 
 
+def test_ud_conditions_are_the_rows():
+    for d in (1, 2, 3, 4):
+        assert (hadamard_ud([d]).conditions
+                == build_entry("unitriangular_oc", d=d).conditions)
+    # a product holds where its largest factor does
+    assert (hadamard_ud([1, 4, 2]).conditions
+            == build_entry("unitriangular_oc", d=4).conditions)
+
+
 def test_ud_two_blocks():
     result = hadamard_ud([2, 3])
     assert result.t_size == math.comb(5, 2)
