@@ -324,10 +324,11 @@ def _series_terms(r: RationalGF, order: int) -> int:
     """A bound on the X-terms of ``expand(r, order)``: with T the
     numerator's terms, S its X-exponent span and D (D0) the spread of the
     denominator's X-exponents (with 0), the Y^k coefficient has at most
-    T*(k*D + 1) terms and at most S + k*D0 + 1; the smaller sum over k."""
+    T*(k*D + 1) terms and at most S + k*D0 + 1; the smaller sum over k.
+    Each of the order + 1 coefficients counts at least once, zero or not."""
     exps = [a for lp in r.numerator.values() for a in lp.coeffs]
     if not exps:
-        return 0
+        return order + 1
     dens = [a for _, a in r.denominator]
     spread = max(dens, default=0) - min(dens, default=0)
     spread0 = max([0, *dens]) - min([0, *dens])

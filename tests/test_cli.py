@@ -321,11 +321,17 @@ GOLDEN = Path(__file__).parent / "golden"
     ["zeta", "verify", "--max-d", "{value}"],
     ["zeta", "build", "unitriangular_oc", "{value}"],
     ["zeta", "hadamard", "unitriangular_oc:{value}"],
+    ["w", "{empty}", "--order", "{value}"],
+    ["hadamard", "{empty}", "{right}", "--verify", "{value}"],
 ])
-def test_huge_series_order_is_refused(argv, value, capsys):
+def test_huge_series_order_is_refused(argv, value, capsys, tmp_path):
     """A series order, and every other integer option that a documented cap
-    bounds, is refused at 10^9 and 10^18 before any work is sized by it."""
+    bounds, is refused at 10^9 and 10^18 before any work is sized by it.
+    A comment-only file gives W = 0, whose series still has a slot per
+    coefficient."""
     paths = {side: str(GOLDEN / f"{side}.txt") for side in ("left", "right")}
+    paths["empty"] = str(tmp_path / "empty.txt")
+    Path(paths["empty"]).write_text("# no terms\n")
     argv = [a.format(value=value, **paths) for a in argv]
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
