@@ -14,7 +14,7 @@ determines the closed form.
 A third table times one Laurent product of two dense polynomials of n
 terms each, for n = 4, 8, ..., 1024, through the dict product and through
 the packed product, by setting ``mpoly.PACK_MIN_TERMS`` (from which
-``MPoly.__mul__`` packs) above n and to 1.  The two products must be equal.
+``LaurentPoly.__mul__`` packs) above n and to 1.  The two products must be equal.
 The script exits 1 on any mismatch.  Stdlib only; run from a checkout:
 
     python3 scripts/kernel_scaling.py --max-blocks 40

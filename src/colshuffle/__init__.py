@@ -26,13 +26,11 @@ from .configurations import (ColouredConfiguration, Label,
                              merge_labels, parse_labelled_configuration)
 from .ratfun import (DEFAULT_ORDER, LaurentPoly, RationalGF, SeriesY, equal,
                      expand, scale_y, substitute, w_of)
-from .mpoly import MPoly
-from .shuffle_algebra import (STATISTICS, CompatReport, HImage,
-                              check_shuffle_compatibility, h_map, h_of,
-                              h_tilde_map, hadamard_general,
+from .shuffle_algebra import (STATISTICS, CompatReport,
+                              check_shuffle_compatibility, hadamard_general,
                               hadamard_identity, hadamard_iterated,
                               hadamard_via_theorem)
-from .qsym import expand_F, psi_closed_form_check, verify_product_rule
+from .qsym import psi_closed_form_check, verify_product_rule
 from .zeta import (FAMILY_PARAMS, F2dFormula, UdFormula, ZetaEntry,
                    ZetaHadamardResult, build_entry, hadamard_entries,
                    hadamard_f2d, hadamard_mde, hadamard_ud, pi_of, underline)

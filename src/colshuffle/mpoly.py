@@ -1,24 +1,16 @@
-"""Sparse polynomials with exact rational coefficients: the one coefficient
-core of the library.
+"""Sparse Laurent polynomials in X with exact rational coefficients: the
+one coefficient core of the library.
 
-An ``MPoly`` is a dict from key to nonzero coefficient, and its class
-attribute ``key_mul`` says how keys multiply.  Here a key is a monomial:
-variables are identified by hashable tuple keys, e.g. ``("x",)``,
-``("p", 2)`` or ``("x", 3, 1)``, and a monomial is a sorted tuple of
-(variable, exponent) pairs with positive exponents; the empty tuple is the
-constant monomial.  ``ratfun.LaurentPoly`` reuses the same arithmetic with
-integer exponents of X as keys.
-
-A list of polynomials is a series in t; ``multiply_by_factors`` and its
-inverse ``divide_by_factors`` apply factors 1 - c*m*t one at a time, each
-step one dict pass (``add_mul``).  Results that cannot hold a zero skip the
-constructor's filter.  Products of integer-keyed polynomials with ``int``
-coefficients that are large and dense enough are packed into one bignum
-product (Kronecker substitution, see ``PACK_MIN_TERMS``).  The Hadamard
-product of W series runs on packed ints from end to end
-(``hadamard_numerator``): each operand is packed once, every factor step is
-a shift and an add, and the result is unpacked once, at a digit width
-bounded from the operands' l1 norms.
+A ``LaurentPoly`` is a dict from integer exponent of X to nonzero
+coefficient.  A list of them is a series in Y; ``multiply_by_factors`` and
+its inverse ``divide_by_factors`` apply factors 1 - c*X^a*Y one at a time,
+each step one dict pass (``add_mul``).  Results that cannot hold a zero skip
+the constructor's filter.  Products with ``int`` coefficients that are large
+and dense enough are packed into one bignum product (Kronecker substitution,
+see ``PACK_MIN_TERMS``).  The Hadamard product of W series runs on packed
+ints from end to end (``hadamard_numerator``): each operand is packed once,
+every factor step is a shift and an add, and the result is unpacked once, at
+a digit width bounded from the operands' l1 norms.
 
 Coefficients are stored as they come: integral ones are plain ``int`` and a
 ``Fraction`` appears only where arithmetic makes a non-integral rational.
@@ -34,29 +26,11 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import add
-from typing import Hashable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import MAX_SHUFFLE_WORDS, check_cap
+from .errors import MAX_SHUFFLE_WORDS, ZeroSubstitution, check_cap
 
 Coeff = Union[int, Fraction]
-
-Monomial = tuple[tuple[tuple, int], ...]
-
-ONE_MONOMIAL: Monomial = ()
-
-
-def monomial(*pairs) -> Monomial:
-    """Build a monomial from (variable, exponent) pairs."""
-    acc: dict[tuple, int] = {}
-    for var, exp in pairs:
-        if exp:
-            acc[var] = acc.get(var, 0) + exp
-    return tuple(sorted((v, e) for v, e in acc.items() if e))
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return monomial(*a, *b) if a and b else a or b
-
 
 # Kronecker substitution (Schoenhage 1982; Harvey, J. Symb. Comput. 2009): a
 # Laurent polynomial with int coefficients is evaluated at X = 2^(8*width),
@@ -230,18 +204,13 @@ def hadamard_numerator(operands: Sequence[tuple[Mapping[int, dict], int, int]],
     return out
 
 
-class MPoly:
-    """Immutable sparse polynomial: dict key -> nonzero coefficient."""
+class LaurentPoly:
+    """Immutable sparse Laurent polynomial in X: dict exponent -> nonzero
+    coefficient."""
 
     __slots__ = ("coeffs",)
 
-    # the key of the constant term, and the product of two keys
-    ONE: Hashable = ONE_MONOMIAL
-    key_mul = staticmethod(monomial_mul)
-    # keys are ints that multiply by addition, so products may be packed
-    INT_KEYS = False
-
-    def __init__(self, coeffs: Mapping[Hashable, Coeff] | None = None):
+    def __init__(self, coeffs: Mapping[int, Coeff] | None = None):
         object.__setattr__(self, "coeffs",
                            {k: c for k, c in (coeffs or {}).items() if c})
 
@@ -261,19 +230,11 @@ class MPoly:
 
     @classmethod
     def one(cls):
-        return cls({cls.ONE: 1})
+        return cls({0: 1})
 
     @classmethod
-    def constant(cls, c):
-        return cls({cls.ONE: c})
-
-    @classmethod
-    def term(cls, key, c=1):
-        return cls({key: c})
-
-    @classmethod
-    def variable(cls, var: tuple, exp: int = 1) -> "MPoly":
-        return cls.term(monomial((var, exp)))
+    def monomial(cls, coeff, exponent: int = 0) -> "LaurentPoly":
+        return cls({exponent: coeff})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -309,37 +270,34 @@ class MPoly:
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
-        if self.INT_KEYS and min(len(a), len(b)) >= PACK_MIN_TERMS:
+        if min(len(a), len(b)) >= PACK_MIN_TERMS:
             packed = _packed_product(a, b)
             if packed is not None:
                 return self._trusted(packed)
-        key_mul = self.key_mul
         out: dict = {}
         get = out.get
         for k1, c1 in a.items():
             for k2, c2 in b.items():
-                k = key_mul(k1, k2)
+                k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
         return self._trusted({k: c for k, c in out.items() if c})
 
-    def mul_monomial(self, key, c=1):
-        """The product with the single term ``c`` times the monomial ``key``."""
+    def mul_monomial(self, exponent: int, c=1):
+        """The product with the single term c*X^exponent."""
         if not c:
             return type(self)()
-        key_mul = self.key_mul
-        return self._trusted({key_mul(k, key): v * c
+        return self._trusted({k + exponent: v * c
                               for k, v in self.coeffs.items()})
 
-    def add_mul(self, other, key, c):
-        """self + c * m * other for the monomial m of ``key``, in one pass."""
+    def add_mul(self, other, exponent: int, c):
+        """self + c * X^exponent * other, in one pass."""
         if not c:
             return self
         out = dict(self.coeffs)
         get = out.get
-        key_mul = self.key_mul
         cancelled = False
         for k, v in other.coeffs.items():
-            k = key_mul(k, key)
+            k += exponent
             v = get(k, 0) + v * c
             if v:
                 out[k] = v
@@ -348,48 +306,70 @@ class MPoly:
                 cancelled = True
         return self._trusted(dict(out) if cancelled else out)
 
+    def eval_at(self, q) -> Coeff:
+        q = Fraction(q)
+        if q == 0 and any(e < 0 for e in self.coeffs):
+            raise ZeroSubstitution("negative power of X at X = 0")
+        return sum(c * q ** e for e, c in self.coeffs.items())
+
     def __repr__(self):
+        return self.to_text()
+
+    def to_text(self, latex: bool = False) -> str:
+        """Terms by falling power of X, as ``X^2 - 3*X + 1`` (or in LaTeX
+        with ``latex``); ``0`` for the zero polynomial."""
         if not self.coeffs:
             return "0"
+        parts = []
+        for e in sorted(self.coeffs, reverse=True):
+            c = self.coeffs[e]
+            if e == 0:
+                body = str(abs(c))
+            else:
+                coeff_part = ("" if abs(c) == 1
+                              else str(abs(c)) + ("" if latex else "*"))
+                exp_part = ("X" if e == 1 else
+                            f"X^{{{e}}}" if latex else f"X^{e}")
+                body = coeff_part + exp_part
+            parts.append(("-" if c < 0 else "+", body))
+        first_sign, first_body = parts[0]
+        text = ("-" if first_sign == "-" else "") + first_body
+        for sign, body in parts[1:]:
+            text += f" {sign} {body}"
+        return text
 
-        def fmt(mono, c):
-            vars_part = "*".join(
-                f"{'_'.join(str(x) for x in var)}^{e}" if e != 1
-                else "_".join(str(x) for x in var)
-                for var, e in mono)
-            if not vars_part:
-                return str(c)
-            if c == 1:
-                return vars_part
-            if c == -1:
-                return "-" + vars_part
-            return f"{c}*{vars_part}"
 
-        return " + ".join(fmt(m, c) for m, c in sorted(self.coeffs.items()))
+# bench/tracer.py hooks mpoly.MPoly.__mul__ and __add__ by this name; the
+# alias goes once the tracer hooks LaurentPoly
+MPoly = LaurentPoly
 
 
-def multiply_by_factors(coeffs: Sequence[MPoly],
-                        factors: Iterable[tuple[Coeff, Hashable]]) -> list[MPoly]:
-    """The inverse of ``divide_by_factors``: b_k = a_k - c*m*a_{k-1} per
+def multiply_by_factors(coeffs: Sequence[LaurentPoly],
+                        factors: Iterable[tuple[Coeff, int]]
+                        ) -> list[LaurentPoly]:
+    """The inverse of ``divide_by_factors``: b_k = a_k - c*X^a*a_{k-1} per
     factor, from the top down so that a_{k-1} is read before it changes."""
     coeffs = list(coeffs)
-    for c, key in factors:
+    for c, a in factors:
         for k in range(len(coeffs) - 1, 0, -1):
-            coeffs[k] = coeffs[k].add_mul(coeffs[k - 1], key, -c)
+            coeffs[k] = coeffs[k].add_mul(coeffs[k - 1], a, -c)
     return coeffs
 
 
-def divide_by_factors(coeffs: Sequence[MPoly],
-                      factors: Iterable[tuple[Coeff, Hashable]]) -> list[MPoly]:
-    """Divide the truncated series coeffs[0] + coeffs[1]*t + ... by each
-    factor 1 - c*m*t, given as (c, key of m), through the same order.
+def divide_by_factors(coeffs: Sequence[LaurentPoly],
+                      factors: Iterable[tuple[Coeff, int]]
+                      ) -> list[LaurentPoly]:
+    """Divide the truncated series coeffs[0] + coeffs[1]*Y + ... by each
+    factor 1 - c*X^a*Y, given as (c, a), through the same order.
 
-    Division by one factor is the recurrence b_k = a_k + c*m*b_{k-1}.
+    Division by one factor is the recurrence b_k = a_k + c*X^a*b_{k-1}.
+    Both loops call only ``add_mul``, so they take any polynomial class
+    that has it.
     """
     coeffs = list(coeffs)
-    for c, key in factors:
+    for c, a in factors:
         prev = coeffs[0]
         for k in range(1, len(coeffs)):
-            prev = coeffs[k].add_mul(prev, key, c)
+            prev = coeffs[k].add_mul(prev, a, c)
             coeffs[k] = prev
     return coeffs

@@ -1,15 +1,15 @@
 """Truncated coloured quasisymmetric functions.
 
-``expand_F`` expands the fundamental function of a coloured permutation in
-the doubly indexed variables x_i^(j) (i a positive index up to a cutoff m,
-j a colour below a cutoff r): the sum over weakly increasing index
-sequences i_1 <= ... <= i_n <= m that increase strictly at every interior
-descent, of the monomials x_{i_1}^(c_1) ... x_{i_n}^(c_n).  Its kernel
-writes each monomial as a sorted tuple of variable ids, x_i^(c) being
-c*m + i - 1 repeated once per unit of exponent, so that two monomials
-multiply as one sorted concatenation, with no exponent width or colour
-bound.  ``verify_product_rule`` checks F_a * F_b = sum of F_c over the
-shuffles c on these keys; ``expand_F`` decodes them into an ``MPoly``.
+The fundamental function F_a of a coloured permutation a, truncated at a
+cutoff m, is expanded in the doubly indexed variables x_i^(j) (i a positive
+index up to m, j a colour): the sum over weakly increasing index sequences
+i_1 <= ... <= i_n <= m that increase strictly at every interior descent, of
+the monomials x_{i_1}^(c_1) ... x_{i_n}^(c_n).  ``_expansion`` writes each
+monomial as a sorted tuple of variable ids, x_i^(c) being c*m + i - 1
+repeated once per unit of exponent, so that two monomials multiply as one
+sorted concatenation, with no exponent width or colour bound.
+``verify_product_rule`` checks F_a * F_b = sum of F_c over the shuffles c
+on these keys.
 
 psi_m specialises x_i^(0) -> x^(i-1) p_0 for i <= m and
 x_i^(j) -> x^(i-1) p_j for 1 < i <= m (all other variables, including every
@@ -30,22 +30,15 @@ import math
 from collections import Counter
 from typing import Sequence
 
-from .errors import ColourOutOfRange, SymbolOverlap
-from .mpoly import MPoly
+from .errors import SymbolOverlap
 from .permutations import (ColouredPermutation, descent_data, descent_set,
                            s_des_raw, shuffles, stat_triple)
 
 __all__ = [
-    "expand_F",
     "verify_product_rule",
     "psi_rows",
     "psi_closed_form_check",
 ]
-
-
-def qvar(index: int, colour: int) -> tuple:
-    """The variable x_index^(colour)."""
-    return ("x", index, colour)
 
 
 def _expansion(sdes: tuple, m: int) -> list[tuple[int, ...]]:
@@ -64,20 +57,6 @@ def _expansion(sdes: tuple, m: int) -> list[tuple[int, ...]]:
         level = [(key + (base + i,), i + step)
                  for key, lo in level for i in range(lo, m + 1)]
     return [tuple(sorted(key)) for key, _ in level]
-
-
-def expand_F(a: ColouredPermutation, m: int, r: int | None = None) -> MPoly:
-    """Monomial expansion of the fundamental function of ``a`` truncated to
-    variable indices <= m, in the variables ``qvar``; a given colour bound
-    ``r`` must exceed every colour of ``a``."""
-    if r is not None and any(c >= r for _, c in a.entries):
-        raise ColourOutOfRange(f"colour >= {r} present")
-    if m < 1:
-        raise ValueError("cutoff m must be >= 1")
-    monos = Counter(tuple(sorted([(qvar(k % m + 1, k // m), key.count(k))
-                                  for k in set(key)]))
-                    for key in _expansion(s_des_raw(a.entries), m))
-    return MPoly(monos)
 
 
 def verify_product_rule(a: ColouredPermutation, b: ColouredPermutation,

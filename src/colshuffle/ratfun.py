@@ -1,9 +1,9 @@
 """Exact rational generating functions in X and Y.
 
-The backbone types are Laurent polynomials in X over the rationals (the
-``mpoly`` coefficient core keyed by exponent), rational functions whose
-denominators are kept factored as products of terms ``1 - c*X^a*Y``, and
-truncated power series in Y with Laurent-polynomial coefficients.
+The backbone types are Laurent polynomials in X over the rationals
+(``mpoly.LaurentPoly``), rational functions whose denominators are kept
+factored as products of terms ``1 - c*X^a*Y``, and truncated power series
+in Y with Laurent-polynomial coefficients.
 Everything is exact: integral coefficients are plain ints, a ``Fraction``
 appears only where a non-integral rational does, and no float is used.
 ``Fraction`` is built only from input that comes from outside the program:
@@ -28,15 +28,14 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .configurations import (LabelledConfiguration, SignedMonomial, _json_int,
                              evaluate_label)
 from .errors import (MAX_SHUFFLE_WORDS, BadParameters, OrderMismatch,
                      ParseError, ZeroSubstitution, check_at_least, check_cap)
-from .mpoly import (Coeff, MPoly, divide_by_factors, hadamard_numerator,
-                    multiply_by_factors)
+from .mpoly import (Coeff, LaurentPoly, divide_by_factors,
+                    hadamard_numerator, multiply_by_factors)
 from .permutations import stat_triple_raw
 
 __all__ = [
@@ -56,55 +55,6 @@ DEFAULT_ORDER = 12
 
 # A denominator factor (c, a) stands for 1 - c*X^a*Y.
 Factor = tuple[Coeff, int]
-
-
-class LaurentPoly(MPoly):
-    """Sparse Laurent polynomial in X: dict exponent -> nonzero coefficient.
-
-    The arithmetic is ``MPoly``'s, with integer exponents as keys.
-    """
-
-    __slots__ = ()
-
-    ONE = 0
-    key_mul = staticmethod(add)
-    INT_KEYS = True
-
-    @classmethod
-    def monomial(cls, coeff, exponent: int = 0) -> "LaurentPoly":
-        return cls({exponent: coeff})
-
-    def eval_at(self, q) -> Coeff:
-        q = Fraction(q)
-        if q == 0 and any(e < 0 for e in self.coeffs):
-            raise ZeroSubstitution("negative power of X at X = 0")
-        return sum(c * q ** e for e, c in self.coeffs.items())
-
-    def __repr__(self):
-        return self.to_text()
-
-    def to_text(self, latex: bool = False) -> str:
-        """Terms by falling power of X, as ``X^2 - 3*X + 1`` (or in LaTeX
-        with ``latex``); ``0`` for the zero polynomial."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                body = str(abs(c))
-            else:
-                coeff_part = ("" if abs(c) == 1
-                              else str(abs(c)) + ("" if latex else "*"))
-                exp_part = ("X" if e == 1 else
-                            f"X^{{{e}}}" if latex else f"X^{e}")
-                body = coeff_part + exp_part
-            parts.append(("-" if c < 0 else "+", body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
 
 
 def _times_factors(p: Mapping[int, LaurentPoly],
@@ -152,11 +102,6 @@ class SeriesY:
         return SeriesY([a * b for a, b in
                         zip(self.coefficients, other.coefficients)])
 
-    def scale_y_monomial(self, coeff: Coeff, exponent: int) -> "SeriesY":
-        """Substitute Y <- (coeff*X^exponent) * Y."""
-        return SeriesY([c.mul_monomial(exponent * k, coeff ** k)
-                        for k, c in enumerate(self.coefficients)])
-
     def __repr__(self):
         inner = ", ".join(repr(c) for c in self.coefficients)
         return f"SeriesY([{inner}])"
@@ -192,11 +137,6 @@ class RationalGF:
         """Build prod(1 - c*X^a*Y) / prod(1 - c'*X^a'*Y)."""
         return cls(_times_factors({0: LaurentPoly.one()}, num_factors),
                    den_factors)
-
-    @classmethod
-    def geometric(cls) -> "RationalGF":
-        """1 / (1 - Y), the Hadamard identity."""
-        return cls({0: LaurentPoly.one()}, [(1, 0)])
 
     def is_zero(self) -> bool:
         return not self.numerator
@@ -397,7 +337,9 @@ def w_of(lc: LabelledConfiguration, eps: int) -> RationalGF:
 
     Coefficients are summed as integers per (length, des, X-exponent), and
     the rows of each length are brought over the common denominator by the
-    factors of the longer lengths, in one Horner pass over the factors.
+    factors of the longer lengths, in one Horner pass over the factors from
+    the shortest length on.  Each factor multiplies only the rows up to its
+    length, so one word of n letters costs n row steps.
     The zero configuration gives 0; the configuration consisting of the
     empty permutation alone gives 1/(1-Y).
     """
@@ -412,8 +354,10 @@ def w_of(lc: LabelledConfiguration, eps: int) -> RationalGF:
         return RationalGF.zero()
     denominator = _w_denominator(eps, max(rows))
     numerator = [LaurentPoly.zero()] * len(denominator)
-    for length, factor in enumerate(denominator):
-        numerator = multiply_by_factors(numerator, [factor])
+    for length in range(min(rows), len(denominator)):
+        # the rows so far have Y-degree < length: one factor reaches length
+        numerator[:length + 1] = multiply_by_factors(
+            numerator[:length + 1], [denominator[length]])
         for des, by_exp in rows.get(length, {}).items():
             numerator[des] = numerator[des] + LaurentPoly(by_exp)
     return RationalGF(dict(enumerate(numerator)), denominator)

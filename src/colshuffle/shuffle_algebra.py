@@ -8,10 +8,8 @@ shuffled configuration, for callers that need the configuration itself and
 as the oracle of the theorem; ``hadamard_general`` multiplies arbitrary
 operands by the series kernel ``ratfun.hadamard``, without shuffling.
 
-The module also hosts the embedding of statistic classes into a power
-series ring in t with Hadamard multiplication (``h_map``/``h_tilde_map``)
-and an empirical falsification harness for shuffle compatibility of
-arbitrary coloured permutation statistics.
+The module also hosts an empirical falsification harness for shuffle
+compatibility of arbitrary coloured permutation statistics.
 """
 
 from __future__ import annotations
@@ -29,10 +27,8 @@ from .configurations import (ColouredConfiguration, Label,
                              make_strongly_disjoint, merge_labels)
 from .errors import MAX_SHUFFLE_WORDS as MAX_COMPAT_WORDS
 from .errors import check_at_least, check_cap
-from .mpoly import MPoly, divide_by_factors, monomial
 from .permutations import (ColouredInteger, ColouredPermutation, EMPTY,
-                           StatTriple, s_des, s_des_raw, stat_triple,
-                           stat_triple_raw)
+                           s_des, s_des_raw, stat_triple, stat_triple_raw)
 from .ratfun import RationalGF, hadamard, w_of
 
 __all__ = [
@@ -40,22 +36,11 @@ __all__ = [
     "hadamard_general",
     "hadamard_identity",
     "hadamard_iterated",
-    "HImage",
-    "h_map",
-    "h_tilde_map",
-    "h_of",
     "check_shuffle_compatibility",
     "CompatReport",
     "STATISTICS",
     "MAX_COMPAT_WORDS",
 ]
-
-X_VAR = ("x",)
-Z_VAR = ("z",)
-
-
-def p_var(colour: int) -> tuple:
-    return ("p", colour)
 
 
 def hadamard_via_theorem(lhs: LabelledConfiguration,
@@ -109,80 +94,6 @@ def hadamard_iterated(lcs: list[LabelledConfiguration],
     for lc in lcs:
         acc = _shuffle_step(acc, make_strongly_disjoint(acc, lc))
     return acc, w_of(acc, eps)
-
-
-# -- the embedding into Q[p, x][[t]] with Hadamard multiplication ----------
-
-@dataclass(frozen=True)
-class HImage:
-    """numerator * t^t_power / prod_i (1 - x^i t), i over denom_powers.
-
-    The numerator is a polynomial in the colour variables p_j, in x and
-    (for the z-graded variant) in z.
-    """
-
-    numerator: MPoly
-    t_power: int
-    denom_powers: tuple[int, ...]
-
-    def series(self, order: int) -> list[MPoly]:
-        """Exact coefficients of t^0 .. t^order."""
-        coeffs = [MPoly.zero()] * (order + 1)
-        if self.t_power <= order:
-            coeffs[self.t_power] = self.numerator
-        return divide_by_factors(
-            coeffs, [(1, monomial((X_VAR, i))) for i in self.denom_powers])
-
-    def to_latex(self) -> str:
-        num_parts = []
-        mono_items = list(self.numerator.coeffs.items())
-        if len(mono_items) == 1 and mono_items[0][1] == 1:
-            mono, _ = mono_items[0]
-            for var, e in mono:
-                name = f"{var[0]}_{{{var[1]}}}" if len(var) == 2 else var[0]
-                num_parts.append(name if e == 1 else f"{name}^{{{e}}}")
-        else:
-            num_parts.append(repr(self.numerator))
-        if self.t_power:
-            num_parts.append("t" if self.t_power == 1 else f"t^{{{self.t_power}}}")
-        num = "".join(num_parts) or "1"
-        den = "".join(
-            "(1 - t)" if i == 0 else
-            ("(1 - xt)" if i == 1 else f"(1 - x^{{{i}}}t)")
-            for i in self.denom_powers)
-        return rf"\frac{{{num}}}{{{den}}}"
-
-
-def _class_key(key) -> tuple[int, StatTriple]:
-    length, st = key
-    st = StatTriple(*st)
-    if sum(c for _, c in st.col) != length:
-        raise ValueError("colour multiplicities do not sum to the length")
-    return int(length), st
-
-
-def h_map(key: tuple[int, StatTriple]) -> HImage:
-    """Image of the statistic class (length, (des, comaj, col)):
-    p^col x^comaj t^des over (1-t)(1-xt)...(1-x^length t)."""
-    length, st = _class_key(key)
-    mono = monomial(*[(p_var(c), k) for c, k in st.col],
-                    (X_VAR, st.comaj))
-    return HImage(MPoly.term(mono), st.des, tuple(range(length + 1)))
-
-
-def h_tilde_map(key: tuple[int, StatTriple]) -> HImage:
-    """The z-graded variant: an extra factor t z^length for nonempty
-    classes, and exactly 1/(1-t) for the empty class."""
-    length, st = _class_key(key)
-    if length == 0:
-        return HImage(MPoly.one(), 0, (0,))
-    mono = monomial(*[(p_var(c), k) for c, k in st.col],
-                    (X_VAR, st.comaj), (Z_VAR, length))
-    return HImage(MPoly.term(mono), st.des + 1, tuple(range(length + 1)))
-
-
-def h_of(a: ColouredPermutation) -> HImage:
-    return h_map((len(a), stat_triple(a)))
 
 
 # -- empirical shuffle-compatibility checking ------------------------------

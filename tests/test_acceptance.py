@@ -17,6 +17,7 @@ from colshuffle import (ColouredConfiguration, Label, LabelledConfiguration,
 from colshuffle.shuffle_algebra import STATISTICS
 from colshuffle.verify import (catalog_suite, psi_suite, qsym_suite,
                                theorem_suite)
+from polyoracle import scale_y_series
 
 P = parse_permutation
 one = Fraction(1)
@@ -197,8 +198,8 @@ def test_criterion_9_rescaled_hadamard():
         lhs = expand(scale_y(A, u), order).hadamard(
             expand(scale_y(B, v), order))
         uv = u * v
-        rhs = expand(A, order).hadamard(expand(B, order)) \
-            .scale_y_monomial(Fraction(uv.sign), uv.exponent)
+        rhs = scale_y_series(expand(A, order).hadamard(expand(B, order)),
+                             Fraction(uv.sign), uv.exponent)
         assert lhs == rhs, case
     report(9, "argument rescaling commutes with Hadamard products on 50 "
               "seeded random pairs at order 8")

@@ -19,6 +19,7 @@ from colshuffle.mpoly import multiply_by_factors
 from colshuffle.ratfun import _times_factors, hadamard
 from conftest import (assert_no_zero_stored, coloured_permutations,
                       laurent_polys)
+from polyoracle import geometric, scale_y_series
 
 P = parse_permutation
 one = Fraction(1)
@@ -105,7 +106,7 @@ def test_laurent_eval():
 # -- expansion -----------------------------------------------------------------
 
 def test_expand_geometric():
-    r = RationalGF.geometric()
+    r = geometric()
     series = expand(r, 3)
     assert list(series.coefficients) == [LaurentPoly.one()] * 4
 
@@ -146,7 +147,7 @@ def test_expand_remultiply_round_trip(order, data):
 # -- Hadamard products of series -------------------------------------------------
 
 def test_hadamard_identity_series():
-    ones = expand(RationalGF.geometric(), 2)
+    ones = expand(geometric(), 2)
     assert ones.hadamard(ones) == ones
 
 
@@ -186,7 +187,7 @@ def test_w_of_degenerate_cases():
         .is_zero()
     empty_perm = LabelledConfiguration(
         ColouredConfiguration([(P(""), 1)]), Label())
-    assert w_of(empty_perm, 5) == RationalGF.geometric()
+    assert w_of(empty_perm, 5) == geometric()
 
 
 def w_of_per_term(lc, eps):
@@ -243,6 +244,26 @@ def test_w_of_cancelling_terms_keep_the_denominator():
     assert w_of(_CANCELLING, 1) == RationalGF({}, [(one, 0), (one, 1)])
 
 
+@pytest.mark.parametrize("n", [1, 2, 40])
+def test_w_of_one_word_takes_linear_row_steps(monkeypatch, n):
+    """The Horner pass starts at the shortest length and each factor
+    multiplies only the rows up to its length: one n-letter word takes at
+    most n + 1 ``add_mul`` calls, not one per row and length."""
+    add_mul, calls = LaurentPoly.add_mul, []
+
+    def counted(self, *args):
+        calls.append(args)
+        return add_mul(self, *args)
+
+    word = " ".join(str(s) for s in range(n, 0, -1))
+    lc = parse_labelled_configuration(f"1 * {word}\n")
+    monkeypatch.setattr(LaurentPoly, "add_mul", counted)
+    result = w_of(lc, 1)
+    monkeypatch.undo()
+    assert len(calls) <= n + 1
+    assert result == w_of_per_term(lc, 1)
+
+
 _ZERO = LabelledConfiguration(ColouredConfiguration(), Label())
 _EMPTY_PERMUTATION = LabelledConfiguration(
     ColouredConfiguration([(P(""), 2)]))
@@ -262,9 +283,9 @@ def test_hadamard_kernel_equals_shuffle_route(lcs, eps):
 
 def test_hadamard_kernel_without_operands_is_the_identity():
     for eps in (-1, 0, 2):
-        assert hadamard([], eps) == RationalGF.geometric()
+        assert hadamard([], eps) == geometric()
     result = hadamard_ud([])
-    assert (result.rgf, result.t_size) == (RationalGF.geometric(), 1)
+    assert (result.rgf, result.t_size) == (geometric(), 1)
 
 
 def test_hadamard_kernel_multiplies_no_series_by_one(monkeypatch):
@@ -483,18 +504,18 @@ def test_w_of_eight_term_oracle():
 
 def test_equal_common_factor():
     a = RationalGF.from_factors([(one, -1)], [(one, 0), (one, -1)])
-    b = RationalGF.geometric()
+    b = geometric()
     assert equal(a, b)
     assert a != b  # structurally different representations stay distinct
 
 
 def test_equal_distinguishes():
     two_letter = w_of(two_letter_lc(-2), 1)
-    assert not equal(two_letter, RationalGF.geometric())
-    assert not equal(RationalGF.zero(), RationalGF.geometric())
+    assert not equal(two_letter, geometric())
+    assert not equal(RationalGF.zero(), geometric())
     assert equal(RationalGF.zero(), RationalGF({}, [(one, 5)]))
     # label -X^0 cancels against the denominator: W collapses to 1/(1-Y)
-    assert equal(w_of(two_letter_lc(0), 1), RationalGF.geometric())
+    assert equal(w_of(two_letter_lc(0), 1), geometric())
 
 
 def test_equal_offsets_negative_y_degrees():
@@ -586,8 +607,8 @@ def test_rescaled_hadamard_of_series(seed):
     order = 8
     lhs = expand(scale_y(A, u), order).hadamard(expand(scale_y(B, v), order))
     uv = u * v
-    rhs = expand(A, order).hadamard(expand(B, order)) \
-        .scale_y_monomial(Fraction(uv.sign), uv.exponent)
+    rhs = scale_y_series(expand(A, order).hadamard(expand(B, order)),
+                         Fraction(uv.sign), uv.exponent)
     assert lhs == rhs
 
 

@@ -10,20 +10,20 @@ from hypothesis import given, settings, strategies as st
 
 from colshuffle import (BadParameters, ColouredConfiguration,
                         ColouredInteger, ColouredPermutation, Label,
-                        LabelledConfiguration, MPoly, NotCoherent, RationalGF,
+                        LabelledConfiguration, NotCoherent, RationalGF,
                         SignedMonomial, StatTriple, all_coloured_permutations,
                         check_shuffle_compatibility,
-                        equal, expand, h_map, h_of, h_tilde_map,
+                        equal, expand,
                         hadamard_general, hadamard_identity,
                         hadamard_iterated,
                         hadamard_via_theorem, make_strongly_disjoint,
                         parse_permutation, shuffles, stat_triple, w_of)
 from colshuffle import shuffle_algebra
-from colshuffle.mpoly import monomial
-from colshuffle.shuffle_algebra import (STATISTICS, X_VAR, Z_VAR, CompatReport,
-                                       p_var)
+from colshuffle.shuffle_algebra import STATISTICS, CompatReport
 from colshuffle.verify import random_coherent_pair
 from conftest import relabel_symbols
+from polyoracle import (X_VAR, Z_VAR, MPoly, h_map, h_of, h_tilde_map,
+                        monomial, p_var)
 
 P = parse_permutation
 one = Fraction(1)
