@@ -11,10 +11,9 @@ caller asks for one, or to check the theorem.  The products are
 instantiated on a catalog of zeta functions of modules, groups and graphs.
 """
 
-from .errors import (BadParameters, ColourOutOfRange, ColshuffleError,
-                     DeltaMismatch, NotCoherent, OrderMismatch, ParseError,
-                     SymbolOverlap, UnknownFamily, UnknownSuite,
-                     ZeroSubstitution)
+from .errors import (BadParameters, ColshuffleError, DeltaMismatch,
+                     NotCoherent, OrderMismatch, ParseError, SymbolOverlap,
+                     UnknownFamily, UnknownSuite, ZeroSubstitution)
 from .permutations import (ColouredInteger, ColouredPermutation, StatTriple,
                            all_coloured_permutations, descent_data,
                            descent_set, parse_permutation, s_des, shuffles,

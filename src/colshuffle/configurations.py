@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (MAX_SHUFFLE_WORDS, NotCoherent, ParseError,
                      SymbolOverlap, check_cap)
+from .mpoly import term_text
 from .permutations import ColouredPermutation, interleavings, parse_permutation
 
 __all__ = [
@@ -63,12 +64,7 @@ class SignedMonomial(NamedTuple):
         return SignedMonomial(self.sign if k % 2 else 1, self.exponent * k)
 
     def __str__(self):
-        s = "-" if self.sign < 0 else ""
-        if self.exponent == 0:
-            return s + "1"
-        if self.exponent == 1:
-            return s + "X"
-        return f"{s}X^{self.exponent}"
+        return term_text(self.sign, self.exponent)
 
     @classmethod
     def parse(cls, text: str) -> "SignedMonomial":

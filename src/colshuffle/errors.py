@@ -41,10 +41,6 @@ class ZeroSubstitution(ColshuffleError):
     """Attempted to substitute X = 0 into a Laurent object."""
 
 
-class ColourOutOfRange(ColshuffleError):
-    """A colour exceeds the declared colour cutoff."""
-
-
 class UnknownFamily(ColshuffleError):
     """Unrecognised catalog family identifier."""
 

@@ -16,6 +16,10 @@ Coefficients are stored as they come: integral ones are plain ``int`` and a
 ``Fraction`` appears only where arithmetic makes a non-integral rational.
 Since ``int`` and ``Fraction`` compare and hash alike, the representation
 never shows in equality, hashing or printing.  No float is used anywhere.
+
+This is also the one printer of signed terms: ``term_text`` writes c*X^e and
+``join_signed`` joins signed parts as ``a - b + c``.  ``LaurentPoly.to_text``,
+``SignedMonomial`` and the text and LaTeX of ``RationalGF`` all call them.
 """
 
 from __future__ import annotations
@@ -318,25 +322,31 @@ class LaurentPoly:
     def to_text(self, latex: bool = False) -> str:
         """Terms by falling power of X, as ``X^2 - 3*X + 1`` (or in LaTeX
         with ``latex``); ``0`` for the zero polynomial."""
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if e == 0:
-                body = str(abs(c))
-            else:
-                coeff_part = ("" if abs(c) == 1
-                              else str(abs(c)) + ("" if latex else "*"))
-                exp_part = ("X" if e == 1 else
-                            f"X^{{{e}}}" if latex else f"X^{e}")
-                body = coeff_part + exp_part
-            parts.append(("-" if c < 0 else "+", body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return join_signed([term_text(c, e, latex) for e, c
+                            in sorted(self.coeffs.items(), reverse=True)])
+
+
+def term_text(c: Coeff, e: int, latex: bool = False, base: str = "X") -> str:
+    """c*X^e as ``-3*X^2``: no unit coefficient, and ``X^{e}`` in LaTeX,
+    where no ``*`` is written; ``c`` alone at e = 0 or c = 0.  Any other
+    ``base`` takes the place of X."""
+    if e == 0 or not c:
+        return str(c)
+    power = base if e == 1 else f"{base}^{{{e}}}" if latex else f"{base}^{e}"
+    if c == 1:
+        return power
+    if c == -1:
+        return "-" + power
+    return f"{c}{'' if latex else '*'}{power}"
+
+
+def join_signed(parts: Sequence[str]) -> str:
+    """Signed parts joined as ``a - b + c``, a leading ``-`` after the first
+    part turned into the operator; ``0`` for no parts."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join([f" - {part[1:]}" if part[0] == "-"
+                               else f" + {part}" for part in parts[1:]])
 
 
 # bench/tracer.py hooks mpoly.MPoly.__mul__ and __add__ by this name; the

@@ -22,12 +22,16 @@ end to end on Kronecker-packed ints by ``mpoly.hadamard_numerator``.  Every
 other product by denominator factors, in ``w_of``, ``equal`` and
 ``RationalGF.from_factors``, runs one factor at a time through
 ``mpoly.multiply_by_factors``, the inverse of the division in ``expand``.
+A ``RationalGF`` prints through ``mpoly.term_text`` and ``mpoly.join_signed``:
+each numerator coefficient and each factor's ``-c*X^a`` gets its power of Y
+from ``_times_y``, and a run of equal factors prints as one power.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from .configurations import (LabelledConfiguration, SignedMonomial, _json_int,
@@ -35,7 +39,8 @@ from .configurations import (LabelledConfiguration, SignedMonomial, _json_int,
 from .errors import (MAX_SHUFFLE_WORDS, BadParameters, OrderMismatch,
                      ParseError, ZeroSubstitution, check_at_least, check_cap)
 from .mpoly import (Coeff, LaurentPoly, divide_by_factors,
-                    hadamard_numerator, multiply_by_factors)
+                    hadamard_numerator, join_signed, multiply_by_factors,
+                    term_text)
 from .permutations import stat_triple_raw
 
 __all__ = [
@@ -152,66 +157,18 @@ class RationalGF:
 
     # -- presentation --------------------------------------------------
 
-    def _den_grouped(self) -> list[tuple[Factor, int]]:
-        groups: list[tuple[Factor, int]] = []
-        for f in self.denominator:
-            if groups and groups[-1][0] == f:
-                groups[-1] = (f, groups[-1][1] + 1)
-            else:
-                groups.append((f, 1))
-        return groups
-
-    @staticmethod
-    def _factor_text(c: Coeff, a: int, latex: bool) -> str:
-        # the factor is 1 - c*X^a*Y; render via the Y-coefficient -c*X^a
-        mono = LaurentPoly.monomial(-c, a)
-        body = mono.to_text(latex=latex)
-        if body.startswith("-"):
-            op, mag = "-", body[1:]
-        else:
-            op, mag = "+", body
-        if mag == "1":
-            term = "Y"
-        else:
-            term = f"{mag}Y" if latex else f"{mag}*Y"
-        return f"(1 {op} {term})"
-
     def numerator_text(self, latex: bool = False) -> str:
-        if not self.numerator:
-            return "0"
-        parts = []
-        for k in sorted(self.numerator):
-            lp = self.numerator[k]
-            body = lp.to_text(latex=latex)
-            if k == 0:
-                parts.append(body)
-                continue
-            ypart = "Y" if k == 1 else (f"Y^{{{k}}}" if latex else f"Y^{k}")
-            if body == "1":
-                parts.append(ypart)
-            elif body == "-1":
-                parts.append(f"-{ypart}")
-            elif " " in body:
-                sep = "" if latex else "*"
-                parts.append(f"({body}){sep}{ypart}")
-            else:
-                sep = "" if latex else "*"
-                parts.append(f"{body}{sep}{ypart}")
-        text = parts[0]
-        for p in parts[1:]:
-            text += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return text
+        return join_signed([_times_y(lp.to_text(latex), k, latex)
+                            for k, lp in sorted(self.numerator.items())])
 
     def denominator_text(self, latex: bool = False) -> str:
-        if not self.denominator:
-            return "1"
-        out = []
-        for (c, a), mult in self._den_grouped():
-            base = self._factor_text(c, a, latex)
-            if mult > 1:
-                base += f"^{{{mult}}}" if latex else f"^{mult}"
-            out.append(base)
-        return "".join(out)
+        factors = []
+        for (c, a), run in groupby(self.denominator):
+            # 1 - c*X^a*Y prints as 1 plus its Y-coefficient -c*X^a
+            factor = join_signed(
+                ["1", _times_y(term_text(-c, a, latex), 1, latex)])
+            factors.append(term_text(1, len(list(run)), latex, f"({factor})"))
+        return "".join(factors) or "1"
 
     def to_text(self) -> str:
         if self.is_zero():
@@ -251,6 +208,19 @@ class RationalGF:
         except ValueError as exc:
             raise ParseError(f"bad JSON generating function: {exc}") from exc
         return cls(numerator, denominator)
+
+
+def _times_y(text: str, k: int, latex: bool) -> str:
+    """The text of c*Y^k from the text of the X-polynomial c: ``Y`` for
+    ``1``, ``-Y`` for ``-1``, a sum in parentheses."""
+    if k == 0:
+        return text
+    power = term_text(1, k, latex, "Y")
+    if text in ("1", "-1"):
+        return text[:-1] + power
+    if " " in text:
+        text = f"({text})"
+    return text + ("" if latex else "*") + power
 
 
 def _check_power_series(r: RationalGF) -> None:

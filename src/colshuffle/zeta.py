@@ -81,15 +81,18 @@ class ZetaEntry:
     w: RationalGF = field(compare=False, repr=False)
 
     def to_json_obj(self) -> dict:
-        obj = self.closed_form.to_json_obj()
-        obj.update({
-            "family": self.family,
-            "params": dict(self.params),
-            "eps": self.eps,
-            "shift": {"sign": self.shift.sign, "exponent": self.shift.exponent},
-            "conditions": list(self.conditions),
-        })
-        return obj
+        return _json_obj(self.closed_form, self.eps, self.shift,
+                         self.conditions, family=self.family,
+                         params=dict(self.params))
+
+
+def _json_obj(rgf: RationalGF, eps: int, shift: SignedMonomial,
+              conditions: tuple[str, ...], **fields) -> dict:
+    """The JSON object of a closed form with its eps, shift, conditions and
+    any further ``fields``."""
+    return {**rgf.to_json_obj(), **fields, "eps": eps,
+            "shift": {"sign": shift.sign, "exponent": shift.exponent},
+            "conditions": list(conditions)}
 
 
 def pi_of(perms: Iterable[Sequence[int] | ColouredPermutation]) -> ColouredConfiguration:
@@ -315,13 +318,7 @@ class ZetaHadamardResult:
     conditions: tuple[str, ...]
 
     def to_json_obj(self) -> dict:
-        obj = self.rgf.to_json_obj()
-        obj.update({
-            "eps": self.eps,
-            "shift": {"sign": self.shift.sign, "exponent": self.shift.exponent},
-            "conditions": list(self.conditions),
-        })
-        return obj
+        return _json_obj(self.rgf, self.eps, self.shift, self.conditions)
 
 
 def hadamard_entries(entries: Sequence[ZetaEntry]) -> ZetaHadamardResult:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from colshuffle import (ColourOutOfRange, ColouredPermutation, LaurentPoly,
+from colshuffle import (ColouredPermutation, ColshuffleError, LaurentPoly,
                         RationalGF, SeriesY, StatTriple, stat_triple)
 from colshuffle.mpoly import divide_by_factors
 from colshuffle.permutations import s_des_raw
@@ -195,6 +195,10 @@ def h_of(a: ColouredPermutation) -> HImage:
 
 
 # -- the fundamental quasisymmetric functions ------------------------------
+
+class ColourOutOfRange(ColshuffleError):
+    """A colour exceeds the declared colour cutoff."""
+
 
 def expand_F(a: ColouredPermutation, m: int, r: int | None = None) -> MPoly:
     """Monomial expansion of the fundamental function of ``a`` truncated to

@@ -59,6 +59,16 @@ def test_signed_monomial_parse_round_trip(text, expected):
     assert SignedMonomial.parse(str(expected)) == expected
 
 
+@pytest.mark.parametrize("sign,exponent,text", [
+    (1, -1, "X^-1"), (1, 0, "1"), (1, 1, "X"), (1, 2, "X^2"),
+    (-1, -1, "-X^-1"), (-1, 0, "-1"), (-1, 1, "-X"), (-1, 2, "-X^2"),
+])
+def test_signed_monomial_text_pinned(sign, exponent, text):
+    sm = SignedMonomial(sign, exponent)
+    assert str(sm) == text
+    assert SignedMonomial.parse(str(sm)) == sm
+
+
 # -- labels -------------------------------------------------------------------
 
 def test_evaluate_label_examples():

@@ -262,3 +262,14 @@ def test_sparse_operands_take_the_dict_product():
     wide = dense([1] * PACK_MIN_TERMS) + LaurentPoly({10**6: -1})
     assert _packed_product(wide.coeffs, wide.coeffs) is None
     assert (wide * wide).coeffs == schoolbook(wide, wide)
+
+
+@pytest.mark.parametrize("coeffs,text", [
+    ({0: 1}, "1"), ({0: -1}, "-1"),
+    ({0: Fraction(1, 2)}, "1/2"), ({0: Fraction(-1, 2)}, "-1/2"),
+    ({1: -1}, "-X"), ({}, "0"),
+])
+def test_laurent_text_pinned(coeffs, text):
+    """Constants print their sign and value, a unit coefficient is elided."""
+    p = LaurentPoly(coeffs)
+    assert p.to_text() == p.to_text(latex=True) == text

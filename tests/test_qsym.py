@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import colshuffle.qsym as qsym
-from colshuffle import (ColourOutOfRange, SymbolOverlap, parse_permutation,
+from colshuffle import (SymbolOverlap, parse_permutation,
                         psi_closed_form_check, s_des, shuffles, stat_triple,
                         verify_product_rule)
 from colshuffle.qsym import psi_rows
@@ -14,8 +14,8 @@ from colshuffle.permutations import (all_coloured_permutations, descent_set,
                                      s_des_raw)
 from colshuffle.verify import psi_suite, qsym_suite
 from conftest import coloured_permutations, relabel_symbols
-from polyoracle import (X_VAR, Monomial, MPoly, expand_F, monomial, p_var,
-                        qvar)
+from polyoracle import (X_VAR, ColourOutOfRange, Monomial, MPoly, expand_F,
+                        monomial, p_var, qvar)
 
 P = parse_permutation
 

@@ -696,3 +696,34 @@ def test_display_forms():
     assert r.to_text() == "(1 - X^-1*Y) / ((1 - Y)(1 - X*Y)^2)"
     assert r.to_latex() == r"\frac{1 - X^{-1}Y}{(1 - Y)(1 - XY)^{2}}"
     assert RationalGF.zero().to_text() == "0"
+
+
+def test_display_forms_pinned():
+    """Fraction coefficients, a negative Y-degree, braced LaTeX exponents, a
+    multi-term Y-coefficient and a repeated non-unit factor, byte for byte."""
+    r = RationalGF.from_json_obj({
+        "numerator": [
+            {"y": -1, "coefficient": [{"x": -3, "value": "-1/2"}]},
+            {"y": 0, "coefficient": [{"x": 0, "value": "1"},
+                                     {"x": 12, "value": "3/4"}]},
+            {"y": 1, "coefficient": [{"x": 12, "value": "-1"}]},
+            {"y": 2, "coefficient": [{"x": -3, "value": "2"},
+                                     {"x": 1, "value": "-1"}]}],
+        "denominator": [{"coeff": "1", "x": 0}, {"coeff": "-3/4", "x": 2},
+                        {"coeff": "-3/4", "x": 2}, {"coeff": "2", "x": -3},
+                        {"coeff": "1/2", "x": 12}]})
+    assert r.to_text() == (
+        "(-1/2*X^-3*Y^-1 + 3/4*X^12 + 1 - X^12*Y + (-X + 2*X^-3)*Y^2)"
+        " / ((1 + 3/4*X^2*Y)^2(1 - 1/2*X^12*Y)(1 - Y)(1 - 2*X^-3*Y))")
+    assert r.to_latex() == (
+        r"\frac{-1/2X^{-3}Y^{-1} + 3/4X^{12} + 1 - X^{12}Y + (-X + 2X^{-3})Y^{2}}"
+        r"{(1 + 3/4X^{2}Y)^{2}(1 - 1/2X^{12}Y)(1 - Y)(1 - 2X^{-3}Y)}")
+
+
+def test_zero_factor_prints_a_zero_y_coefficient():
+    """A factor 1 - 0*X^a*Y, which JSON can give, prints 0 for 0*X^a."""
+    r = RationalGF.from_json_obj({
+        "numerator": [{"y": 0, "coefficient": [{"x": 0, "value": "1"}]}],
+        "denominator": [{"coeff": "0", "x": 3}, {"coeff": "0", "x": 0}]})
+    assert r.to_text() == "(1) / ((1 + 0*Y)(1 + 0*Y))"
+    assert r.to_latex() == r"\frac{1}{(1 + 0Y)(1 + 0Y)}"
