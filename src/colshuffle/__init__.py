@@ -5,10 +5,10 @@ The package models coloured permutations and their descent statistics,
 configurations (multisets of coloured permutations) with signed-monomial
 labels on colours, and the rational generating functions these data define.
 Hadamard products of such functions are computed in closed form by one
-series kernel (``ratfun.hadamard``), whose denominator and degree bound come
-from the shuffle theorem; shuffled configurations are built only where a
-caller asks for one, or to check the theorem.  The products are
-instantiated on a catalog of zeta functions of modules, groups and graphs.
+series kernel (``ratfun.hadamard``), whose denominator, degree bound and
+digit width come from the shuffle theorem; shuffled configurations are built
+only where a caller asks for one, or to check the theorem.  The products
+are instantiated on a catalog of zeta functions of modules, groups and graphs.
 """
 
 from .errors import (BadParameters, ColshuffleError, DeltaMismatch,

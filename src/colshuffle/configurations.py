@@ -92,6 +92,7 @@ class Label:
     """
 
     __slots__ = ("assignments",)
+    _ONE = SignedMonomial(1, 0)  # the value of every colour off the support
 
     def __init__(self, assignments: Mapping[int, SignedMonomial] | None = None):
         cleaned = {}
@@ -112,7 +113,7 @@ class Label:
         raise AttributeError("Label is immutable")
 
     def __call__(self, colour: int) -> SignedMonomial:
-        return self.assignments.get(colour, SignedMonomial.one())
+        return self.assignments.get(colour, self._ONE)
 
     def support(self) -> frozenset[int]:
         return frozenset(self.assignments)

@@ -10,7 +10,7 @@ and dense enough are packed into one bignum product (Kronecker substitution,
 see ``PACK_MIN_TERMS``).  The Hadamard product of W series runs on packed
 ints from end to end (``hadamard_numerator``): each operand is packed once,
 every factor step is a shift and an add, and the result is unpacked once, at
-a digit width bounded from the operands' l1 norms.
+a digit width bounded by the shuffle theorem.
 
 Coefficients are stored as they come: integral ones are plain ``int`` and a
 ``Fraction`` appears only where arithmetic makes a non-integral rational.
@@ -27,9 +27,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from itertools import accumulate
-from math import lcm
-from operator import add
+from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import MAX_SHUFFLE_WORDS, ZeroSubstitution, check_cap
@@ -77,9 +75,7 @@ def _width(bound: int) -> int:
     """Bytes per digit for coefficients of absolute value at most ``bound``,
     with room for a sign bit; 1, 2, 4 or 8 where an array code applies."""
     width = bound.bit_length() // 8 + 1
-    if width <= 8:
-        width = 1 if width == 1 else 2 if width == 2 else 4 if width <= 4 else 8
-    return width
+    return width if width > 8 else 1 << (width - 1).bit_length()
 
 
 def _unpacked(value: int, lo: int, width: int) -> dict:
@@ -124,7 +120,7 @@ def hadamard_numerator(operands: Sequence[tuple[Mapping[int, dict], int, int]],
     """The numerator of a Hadamard product (in Y) of W series.
 
     An operand (num, n, mult) is num / ((1 - Y)(1 - X^eps Y) ... (1 -
-    X^(n*eps) Y)) taken ``mult`` times, ``num`` mapping Y-degrees >= 0 to
+    X^(n*eps) Y)) taken ``mult`` times, ``num`` mapping Y-degrees 0 to n to
     {X-exponent: int or Fraction} dicts.  With N the sum of mult*n, the
     product series through Y^N times (1 - Y) ... (1 - X^(N*eps) Y) is
     returned as N + 1 dicts, one per Y-degree.
@@ -132,14 +128,17 @@ def hadamard_numerator(operands: Sequence[tuple[Mapping[int, dict], int, int]],
     Each operand is scaled to ints by the lcm of its denominators and its
     Y^k coefficients are packed once, digit 0 at X^(lo + k*min(0, eps*n))
     for its least exponent lo, so that every factor step is a left shift.
-    All steps are exact integer arithmetic: only the result's coefficients
-    must fit in a digit, and the width bounds them by running the same
-    recurrences on l1 norms.  The result is unpacked once and divided by
-    the product of the scales.  ``BadParameters`` is raised when a packed
-    int could span more than ``MAX_SHUFFLE_WORDS`` digits, as a large
-    exponent spread or ``eps`` would make it, checked before the l1 norms;
-    and when it could take more than ``MAX_SHUFFLE_WORDS`` bytes, digits
-    times the width, as many blocks with wide coefficients would make it.
+    Only the result's coefficients must fit in a digit, and the shuffle
+    theorem bounds them: the product is bilinear, X-powers factor out of
+    it, and c*X^e*Y^d over the W denominator of n, d <= n, is a monomial
+    times the W of a coloured word of length n with d descents.  So it is a
+    signed sum over N!/prod(n!^mult) shuffles, each adding one monomial,
+    and no scaled coefficient, of the result or of an operand, exceeds
+    N!/prod(n!^mult) * prod(|num|_1^mult).  The result is unpacked once and
+    divided by the product of the scales.  ``BadParameters`` is raised,
+    before any factorial, when a packed int could span more than
+    ``MAX_SHUFFLE_WORDS`` digits (a large exponent spread or ``eps``), and
+    after it when it could take more than that many bytes.
     """
     order = sum(n * mult for _, n, mult in operands)
     # the widest packed int has at most this many digits: each operand's
@@ -154,31 +153,24 @@ def hadamard_numerator(operands: Sequence[tuple[Mapping[int, dict], int, int]],
         digits += mult * (max(max(row) for row in rows if row) - lo)
         # int and Fraction alike have a numerator and a denominator
         lcd = lcm(*(c.denominator for row in rows for c in row.values()))
-        scaled.append(([{e: c.numerator * (lcd // c.denominator)
-                         for e, c in row.items()} for row in rows],
-                       n, mult, lo))
+        rows = [{e: c.numerator * (lcd // c.denominator)
+                 for e, c in row.items()} for row in rows]
+        norm = sum(abs(c) for row in rows for c in row.values())
+        scaled.append((rows, n, mult, lo, norm))
         scale *= lcd ** mult
     check_cap(digits, "the Hadamard product spans up to {} X-exponents",
               MAX_SHUFFLE_WORDS)
-    # l1 norms through the same recurrences bound every result coefficient
-    bound = 0
-    products = [1] * (order + 1)
-    for rows, n, mult, _ in scaled:
-        norms = [sum(map(abs, row.values())) for row in rows]
-        bound = max(bound, *norms)
-        for _ in range(n + 1):
-            norms = list(accumulate(norms))
-        products = [p * q ** mult for p, q in zip(products, norms)]
-    for _ in range(order + 1):
-        products = [products[0], *map(add, products[1:], products)]
-    width = _width(max(bound, *products))
+    bound = factorial(order)  # over the n!^mult below: the shuffle count
+    for _, n, mult, _, norm in scaled:
+        bound = bound // factorial(n) ** mult * norm ** mult
+    width = _width(bound)
     check_cap(digits * width, "the Hadamard product packs up to {} bytes",
               MAX_SHUFFLE_WORDS)
     bits = 8 * width
     # pack and expand each operand; the product's Y^k digit 0 stands for
     # X^(base + k*low)
     series, base, low = [], 0, 0
-    for rows, n, mult, lo in scaled:
+    for rows, n, mult, lo, _ in scaled:
         step = min(0, eps * n)
         packed = [_packed(row, lo + k * step, max(row) - lo - k * step + 1,
                           width) if row else 0

@@ -223,13 +223,6 @@ def _times_y(text: str, k: int, latex: bool) -> str:
     return text + ("" if latex else "*") + power
 
 
-def _check_power_series(r: RationalGF) -> None:
-    """Raise ``BadParameters`` if the numerator has a negative Y-degree."""
-    if r.numerator and min(r.numerator) < 0:
-        raise BadParameters(f"cannot expand the negative Y-degree "
-                            f"{min(r.numerator)} as a power series")
-
-
 def _series_terms(r: RationalGF, order: int) -> int:
     """A bound on the X-terms of ``expand(r, order)``: with T the
     numerator's terms, S its X-exponent span and D (D0) the spread of the
@@ -258,7 +251,9 @@ def expand(r: RationalGF, order: int = DEFAULT_ORDER) -> SeriesY:
     check_at_least(0, order=order)
     check_cap(_series_terms(r, order), f"the series through Y^{order} may "
               "have {} terms", MAX_SHUFFLE_WORDS)
-    _check_power_series(r)
+    if r.numerator and min(r.numerator) < 0:
+        raise BadParameters(f"cannot expand the negative Y-degree "
+                            f"{min(r.numerator)} as a power series")
     coeffs = [r.numerator.get(k, LaurentPoly.zero()) for k in range(order + 1)]
     return SeriesY(divide_by_factors(coeffs, r.denominator))
 
@@ -272,8 +267,11 @@ def equal(a: RationalGF, b: RationalGF) -> bool:
 
 
 def scale_y(r: RationalGF, sm: SignedMonomial) -> RationalGF:
-    """Substitute Y <- sm * Y (sm a signed power of X), exactly."""
+    """Substitute Y <- sm * Y (sm a signed power of X), exactly; a sign
+    other than 1 or -1 raises ``ValueError``."""
     sm = SignedMonomial(*sm)
+    if sm.sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sm.sign}")
     numerator = {}
     for k, lp in r.numerator.items():
         # k may be negative (from JSON); sm ** k keeps the sign an int
@@ -334,32 +332,36 @@ def w_of(lc: LabelledConfiguration, eps: int) -> RationalGF:
 
 
 def _w_length(r: RationalGF, eps: int) -> int | None:
-    """n if ``r`` has the W denominator of length n, None if ``r`` is 0."""
+    """n if ``r`` is a W of length n for ``eps``: the W denominator of n
+    over numerator Y-degrees 0 to n.  None if ``r`` is 0."""
     if r.is_zero() and not r.denominator:
         return None
     n = len(r.denominator) - 1
     if n < 0 or r.denominator != tuple(sorted(_w_denominator(eps, n))):
         raise ValueError(f"denominator {r.denominator_text()} is not "
                          f"a W denominator for eps = {eps}")
+    if r.numerator and not 0 <= min(r.numerator) <= max(r.numerator) <= n:
+        raise ValueError(f"numerator Y-degrees {min(r.numerator)} to "
+                         f"{max(r.numerator)} are not within 0 to {n}")
     return n
 
 
 def hadamard(rgfs: Sequence[RationalGF], eps: int) -> RationalGF:
     """The closed form of the Hadamard product (in Y) of W's for ``eps``.
 
-    By the shuffle theorem, W's of max lengths n_1, ..., n_k multiply to the
-    W denominator of N = n_1 + ... + n_k over a numerator of Y-degree <= N:
+    By the shuffle theorem, W's of lengths n_1, ..., n_k multiply to the W
+    denominator of N = n_1 + ... + n_k over a numerator of Y-degree <= N:
     the product series through Y^N times that denominator, truncated at
     Y^N, which ``mpoly.hadamard_numerator`` computes on packed ints from
-    each distinct operand once.  No operands give 1/(1-Y), a zero operand
-    0, and a non-W denominator ``ValueError``.
+    each distinct operand once.  The theorem holds for W's whose numerator
+    Y-degrees lie in 0 to n: any other numerator, or a non-W denominator,
+    raises ``ValueError`` before anything is packed.  No operands give
+    1/(1-Y), and a zero operand 0.
     """
     counts = Counter(rgfs)  # each operand is hashed once
     lengths = [_w_length(r, eps) for r in counts]
     if None in lengths:
         return RationalGF.zero()
-    for r in counts:
-        _check_power_series(r)
     numerator = hadamard_numerator(
         [({k: lp.coeffs for k, lp in r.numerator.items()}, n, mult)
          for (r, mult), n in zip(counts.items(), lengths)], eps)

@@ -5,8 +5,10 @@ sum_k ask(M tensor Z/p^k) Y^k, where ask is the average size of the kernel
 of the matrices of the module acting on row vectors.  These checks count
 that average by brute force over every matrix and every row vector of
 Z/p^k, and compare it with the Y^k coefficient of the closed form at X = p.
-No route of the library is shared: the counts see neither configurations
-nor series.
+The class-counting zeta function of a group scheme G is sum_k k(G(Z/p^k))
+Y^k, k the number of conjugacy classes, counted here as commuting pairs
+over the group order.  No route of the library is shared: the counts see
+neither configurations nor series.
 """
 
 import itertools
@@ -82,3 +84,30 @@ def test_direct_sum_is_the_block_diagonal_module(capsys):
                                    4, p ** k) for k in (1, 2)]
     assert counted == [Fraction(25, 4), Fraction(121, 4)]
     assert [coefficient_at(rgf, k, p) for k in (1, 2)] == counted
+
+
+def heisenberg_class_number(q: int) -> Fraction:
+    """The conjugacy classes of the 3 x 3 unitriangular matrices over Z/q:
+    the commuting pairs over the group order.  A matrix is stored as its
+    entries (m01, m12, m02) above the diagonal."""
+    group = list(itertools.product(range(q), repeat=3))
+
+    def product(x, y):
+        return ((x[0] + y[0]) % q, (x[1] + y[1]) % q,
+                (x[2] + x[0] * y[1] + y[2]) % q)
+
+    commuting = sum(product(x, y) == product(y, x)
+                    for x in group for y in group)
+    return Fraction(commuting, len(group))
+
+
+def test_f2d_cc_2_counts_the_classes_of_the_heisenberg_group():
+    """F_{2,2} is the Heisenberg group; its class numbers over Z/3 and Z/9
+    are the Y^1 and Y^2 coefficients of the closed form at X = 3, where
+    the shifted W expands to 1, 11, 105, 963."""
+    entry = build_entry("f2d_cc", d=2)
+    p = 3
+    assert entry.conditions == ("odd residue field size",) and p % 2
+    for k, count in ((1, 11), (2, 105)):
+        assert heisenberg_class_number(p ** k) == count
+        assert coefficient_at(entry.closed_form, k, p) == count

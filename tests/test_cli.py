@@ -289,7 +289,7 @@ def test_unitriangular_cap(argv, capsys):
 ])
 def test_hadamard_span_cap(argv, capsys):
     """An exponent spread or an eps of 10^9, and 200 blocks whose packed
-    ints would take 18 MB, are refused before any packing."""
+    ints would take 14.5 MB, are refused before any packing."""
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
@@ -436,7 +436,7 @@ def _spread(top):
                             ColouredConfiguration([(_word(13, 24), 1)])),
      2704156),
     (lambda: hadamard([_spread(10**6)], 0), 1000001),
-    (lambda: hadamard_mde([(2, 1)] * 200), 18205627),
+    (lambda: hadamard_mde([(2, 1)] * 200), 14516381),
     (lambda: check_shuffle_compatibility(STATISTICS["des"], max_len=7,
                                          colours=3), 11022480),
     (lambda: verify.qsym_suite(max_len=5, colours=3), 4528384),

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -362,21 +363,28 @@ def json_round_trip(r):
 
 
 @st.composite
-def w_series(draw, eps, max_len=3):
-    """A W of ``eps`` with a random numerator, up to one Y-degree past its
-    length, and int, integral Fraction (via JSON) or Fraction coefficients."""
+def w_series(draw, eps, max_len=3, past=1):
+    """A W of ``eps`` with a random numerator, up to ``past`` Y-degrees past
+    its length, and int, integral Fraction (via JSON) or Fraction
+    coefficients."""
     n = draw(st.integers(0, max_len))
-    numerator = draw(st.dictionaries(st.integers(0, n + 1), laurent_polys(),
-                                     max_size=n + 2))
+    numerator = draw(st.dictionaries(st.integers(0, n + past),
+                                     laurent_polys(), max_size=n + past + 1))
     r = RationalGF(numerator, [(1, eps * i) for i in range(n + 1)])
     return json_round_trip(r) if draw(st.booleans()) else r
 
 
 @st.composite
-def hadamard_operands(draw):
+def hadamard_operands(draw, past=1):
     eps = draw(st.integers(-2, 2))
-    distinct = draw(st.lists(w_series(eps), min_size=1, max_size=3))
+    distinct = draw(st.lists(w_series(eps, past=past), min_size=1,
+                             max_size=3))
     return draw(st.lists(st.sampled_from(distinct), max_size=4)), eps
+
+
+def is_proper(r):
+    """Whether the numerator of ``r`` stays within its W length."""
+    return max(r.numerator, default=-1) < len(r.denominator)
 
 
 _WIDE = RationalGF({0: LaurentPoly({0: 10**12, -1: -3}),
@@ -387,6 +395,13 @@ _THREE = [RationalGF.from_factors([(one, -1)], [(1, 0), (1, 1)]),
           RationalGF({0: LaurentPoly.monomial(Fraction(1, 2), 1),
                       1: LaurentPoly.monomial(-1, 2)},
                      [(1, 0), (1, 1), (1, 2)])]
+_EPS0 = RationalGF({0: LaurentPoly({1: 2, -1: Fraction(1, 3)}),
+                    2: LaurentPoly.monomial(-1)}, [(1, 0)] * 3)
+_EPS0_1 = RationalGF({1: LaurentPoly.monomial(3, 2)}, [(1, 0)] * 2)
+# the numerator of R1 has Y-degree 2 over a W of length 1
+_W1 = [(1, 0), (1, 1)]
+R1 = RationalGF({0: LaurentPoly.one(), 2: LaurentPoly.monomial(1, 1)}, _W1)
+R2 = RationalGF({0: LaurentPoly.one(), 1: LaurentPoly.monomial(2)}, _W1)
 
 
 @settings(deadline=None)
@@ -396,14 +411,112 @@ _THREE = [RationalGF.from_factors([(one, -1)], [(1, 0), (1, 1)]),
 @example(([_WIDE, RationalGF.zero(), _WIDE], -2))
 @example(([_WIDE, RationalGF({}, [(1, 0)]), _WIDE], -2))
 @example(([_WIDE, json_round_trip(_WIDE), _WIDE], -2))  # 18-byte digits
+@example(([R1, R2], 1))
 @given(hadamard_operands())
 def test_hadamard_kernel_equals_series_route(case):
+    """Improper W's are refused; for proper ones the kernel is the
+    truncated series route, and its expansion is the coefficientwise
+    product of the operands' expansions past the truncation."""
     rgfs, eps = case
+    if not all(map(is_proper, rgfs)):
+        with pytest.raises(ValueError, match="Y-degrees"):
+            hadamard(rgfs, eps)
+        return
     result = hadamard(rgfs, eps)
     assert result == hadamard_by_series(rgfs, eps)
     assert_no_zero_stored(*result.numerator.values())
     assert all(type(c) is int for lp in result.numerator.values()
                for c in lp.coeffs.values() if c.denominator == 1)
+    order = len(result.denominator) + 1
+    series = SeriesY([LaurentPoly.one()] * (order + 1))
+    for r in rgfs:
+        series = series.hadamard(expand(r, order))
+    assert expand(result, order) == series
+
+
+def test_hadamard_refuses_a_numerator_past_the_w_length():
+    """The shuffle theorem needs Y-degrees 0 to n: an improper operand
+    would give 17*X^3 at Y^3, where the series product has 16*X^3."""
+    assert expand(R1, 3)[3] * expand(R2, 3)[3] == LaurentPoly(
+        {6: 1, 5: 5, 4: 11, 3: 16, 2: 15, 1: 9, 0: 3})
+    for operands in ([R1, R2], [R2, R1, R1], [R1]):
+        with pytest.raises(ValueError, match="Y-degrees 0 to 2 are not "
+                                             "within 0 to 1"):
+            hadamard(operands, 1)
+    negative = RationalGF({-1: LaurentPoly.one()}, _W1)
+    with pytest.raises(ValueError, match="Y-degrees -1 to -1"):
+        hadamard([R2, negative], 1)
+
+
+def scaled_operands(rgfs):
+    """The distinct operands of ``rgfs`` with their multiplicities, each
+    numerator scaled to ints by the lcm of its denominators, and the
+    product of the scales."""
+    operands, scale = [], 1
+    for r in dict.fromkeys(rgfs):
+        lcd = math.lcm(*(c.denominator for lp in r.numerator.values()
+                         for c in lp.coeffs.values()))
+        mult = rgfs.count(r)
+        operands.append(([c * lcd for lp in r.numerator.values()
+                          for c in lp.coeffs.values()],
+                         len(r.denominator) - 1, mult))
+        scale *= lcd ** mult
+    return operands, scale
+
+
+@settings(deadline=None)
+@example(([_THREE[0]] * 4, 1), True)  # 4!/(1!^4) shuffles, norm 2 each
+@example(([_WIDE, json_round_trip(_WIDE), _WIDE], -2), True)
+@example(([_THREE[2], _THREE[0], _THREE[2]], 1), False)
+@example(([_EPS0, _EPS0, _EPS0_1], 0), False)
+@example(([_EPS0, _EPS0, _EPS0_1], 0), True)
+@example(([], 0), True)
+@given(hadamard_operands(past=0), st.booleans())
+def test_hadamard_width_is_the_shuffle_bound(case, nonnegative):
+    """The kernel sizes its digits from N!/prod(n!^mult) shuffles times
+    the scaled l1 norms to the mult.  With nonnegative coefficients nothing
+    cancels, so the scaled result coefficients sum to exactly that bound;
+    with signed ones none exceeds it."""
+    rgfs, eps = case
+    if nonnegative:
+        rgfs = [RationalGF({k: LaurentPoly({e: abs(c) for e, c
+                                            in lp.coeffs.items()})
+                            for k, lp in r.numerator.items()}, r.denominator)
+                for r in rgfs]
+    if any(r.is_zero() for r in rgfs):
+        return
+    operands, scale = scaled_operands(rgfs)
+    shuffles = math.factorial(sum(n * mult for _, n, mult in operands))
+    norms = 1
+    for coeffs, n, mult in operands:
+        shuffles //= math.factorial(n) ** mult
+        norms *= sum(map(abs, coeffs)) ** mult
+    bounds = []
+    width = mpoly._width
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpoly, "_width",
+                      lambda bound: bounds.append(bound) or width(bound))
+        result = hadamard(rgfs, eps)
+    assert bounds == [shuffles * norms]
+    scaled = [c * scale for lp in result.numerator.values()
+              for c in lp.coeffs.values()]
+    assert all(type(c) is int or c.denominator == 1 for c in scaled)
+    if nonnegative:
+        assert sum(scaled) == bounds[0]
+    else:
+        assert max(map(abs, scaled)) <= bounds[0]
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_hadamard_digit_width_is_just_enough(width, sign):
+    """A coefficient one below half the digit range fits the width chosen
+    for it, and one more takes the next width."""
+    c = sign * (2 ** (8 * width - 1) - 1)
+    assert mpoly._width(abs(c)) == width < mpoly._width(abs(c) + 1)
+    for e, eps in ((0, 1), (3, -1)):
+        single = RationalGF({0: LaurentPoly.monomial(c, e)}, [(1, 0)])
+        assert hadamard([single], eps) == single
 
 
 def test_hadamard_kernel_rejects_non_w_denominators():
@@ -586,6 +699,18 @@ def test_substitute_matrix_entry():
 def test_scale_y_identity():
     r = w_of(two_letter_lc(-2), 1)
     assert scale_y(r, SignedMonomial.one()) == r
+
+
+@pytest.mark.parametrize("sign", [2, 0, -3])
+def test_scale_y_refuses_a_sign_other_than_one_or_minus_one(sign):
+    """As a ``Label`` does: Y <- 2*X*Y is no signed power of X."""
+    r = RationalGF({1: LaurentPoly.one()}, [(1, 0)])
+    with pytest.raises(ValueError, match=f"got {sign}"):
+        scale_y(r, (sign, 1))
+    with pytest.raises(ValueError, match=f"got {sign}"):
+        substitute(r, 2, (sign, 1))
+    assert substitute(r, 2, (-1, 1)) == RationalGF(
+        {1: LaurentPoly.monomial(-2)}, [(-2, 0)])
 
 
 @settings(max_examples=50, deadline=None)
