@@ -30,7 +30,7 @@ from .shuffle_algebra import (STATISTICS, CompatReport,
                               hadamard_identity, hadamard_iterated,
                               hadamard_via_theorem)
 from .qsym import psi_closed_form_check, verify_product_rule
-from .zeta import (FAMILY_PARAMS, F2dFormula, UdFormula, ZetaEntry,
+from .zeta import (FAMILY_PARAMS, DirectFormula, ZetaEntry,
                    ZetaHadamardResult, build_entry, hadamard_entries,
                    hadamard_f2d, hadamard_mde, hadamard_ud, pi_of, underline)
 

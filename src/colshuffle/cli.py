@@ -110,7 +110,7 @@ def cmd_w(args) -> int:
     series = None if args.order is None else expand(rgf, args.order)
     _rgf_output(rgf, args.format)
     if series is not None:
-        print(json.dumps([c.to_text() for c in series.coefficients]))
+        print(json.dumps([c.to_text() for c in series]))
     return 0
 
 

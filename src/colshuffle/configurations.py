@@ -16,7 +16,7 @@ from collections import Counter
 from itertools import repeat
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (MAX_SHUFFLE_WORDS, NotCoherent, ParseError,
                      SymbolOverlap, check_cap)
@@ -112,6 +112,9 @@ class Label:
     def __setattr__(self, name, value):
         raise AttributeError("Label is immutable")
 
+    def __reduce__(self):
+        return Label, (self.assignments,)
+
     def __call__(self, colour: int) -> SignedMonomial:
         return self.assignments.get(colour, self._ONE)
 
@@ -142,23 +145,26 @@ class Label:
 def evaluate_label(label: Label, a: ColouredPermutation) -> SignedMonomial:
     """Product of the label values over the colours of ``a`` (1 when empty)."""
     sign, exp = 1, 0
-    for entry in a.entries:
+    for entry in a:
         v = label(entry.colour)
         sign *= v.sign
         exp += v.exponent
     return SignedMonomial(sign, exp)
 
 
-class ColouredConfiguration:
+class ColouredConfiguration(tuple):
     """A finite multiset of coloured permutations.
 
     Stored in normal form: distinct permutations with multiplicities >= 1,
     sorted by (length, entrywise colour order) for canonical serialisation.
+    It is the tuple of its (permutation, multiplicity) terms: it equals,
+    hashes and iterates as that tuple, ``len`` counts its terms, and the
+    zero configuration equals ``()`` and is falsy.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Iterable[tuple[ColouredPermutation, int]] = ()):
+    def __new__(cls, terms: Iterable[tuple[ColouredPermutation, int]] = ()):
         acc: dict[ColouredPermutation, int] = {}
         for perm, mult in terms:
             mult = int(mult)
@@ -166,60 +172,49 @@ class ColouredConfiguration:
                 raise ValueError("multiplicities must be nonnegative")
             if mult:
                 acc[perm] = acc.get(perm, 0) + mult
-        ordered = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
-        object.__setattr__(self, "terms", ordered)
+        return tuple.__new__(
+            cls, sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
 
     @classmethod
-    def _normal(cls, terms: tuple[tuple[ColouredPermutation, int], ...]
+    def _normal(cls, terms: Iterable[tuple[ColouredPermutation, int]]
                 ) -> "ColouredConfiguration":
         # fast constructor for terms already distinct, positive and sorted
-        self = object.__new__(cls)
-        object.__setattr__(self, "terms", terms)
-        return self
+        return tuple.__new__(cls, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ColouredConfiguration is immutable")
+    @property
+    def terms(self) -> "ColouredConfiguration":
+        return self
 
     @classmethod
     def from_permutations(cls, perms: Iterable[ColouredPermutation]) -> "ColouredConfiguration":
         return cls((p, 1) for p in perms)
 
     def support(self) -> tuple[ColouredPermutation, ...]:
-        return tuple(p for p, _ in self.terms)
+        return tuple(p for p, _ in self)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def symbols(self) -> frozenset[int]:
         out: set[int] = set()
-        for p, _ in self.terms:
+        for p, _ in self:
             out |= p.symbols()
         return frozenset(out)
 
     def palette_star(self) -> frozenset[int]:
         out: set[int] = set()
-        for p, _ in self.terms:
+        for p, _ in self:
             out |= p.palette_star()
         return frozenset(out)
 
     def max_length(self) -> int:
-        return max((len(p) for p, _ in self.terms), default=0)
-
-    def __eq__(self, other):
-        return (isinstance(other, ColouredConfiguration)
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __iter__(self) -> Iterator[tuple[ColouredPermutation, int]]:
-        return iter(self.terms)
+        return max((len(p) for p, _ in self), default=0)
 
     def __repr__(self):
         inner = " + ".join(
             (f"{m}*{p}" if m != 1 else str(p)) if len(p) else
             (f"{m}*()" if m != 1 else "()")
-            for p, m in self.terms)
+            for p, m in self)
         return inner or "0"
 
 
@@ -229,8 +224,8 @@ def config_shuffle(f: ColouredConfiguration,
     if f.symbols() & g.symbols():
         raise SymbolOverlap(
             f"shared symbols: {sorted(f.symbols() & g.symbols())}")
-    f_lengths = Counter(len(a) for a, _ in f.terms)
-    g_lengths = Counter(len(b) for b, _ in g.terms)
+    f_lengths = Counter(len(a) for a, _ in f)
+    g_lengths = Counter(len(b) for b, _ in g)
     words = sum(k * l * comb(n + m, n) for n, k in f_lengths.items()
                 for m, l in g_lengths.items())
     check_cap(words, "the shuffle has {} words", MAX_SHUFFLE_WORDS)
@@ -241,7 +236,7 @@ def config_shuffle(f: ColouredConfiguration,
     # length's code followed by its entries' codes, so sorting compares
     # bytes.  Each word and its key are picked out of a + b and its codes
     # by one itemgetter per position pattern.
-    ranked = sorted({e for h in (f, g) for p, _ in h.terms for e in p})
+    ranked = sorted({e for h in (f, g) for p, _ in h for e in p})
     width = max(1, (max(len(ranked), f.max_length() + g.max_length())
                     .bit_length() + 7) // 8)
     code = {e: r.to_bytes(width, "big") for r, e in enumerate(ranked)}
@@ -249,19 +244,19 @@ def config_shuffle(f: ColouredConfiguration,
     getters: dict[tuple[int, int], tuple[list, list]] = {}
     keys: list[bytes] = []
     terms: list[tuple[ColouredPermutation, int]] = []
-    for a, fa in f.terms:
-        for b, gb in g.terms:
+    for a, fa in f:
+        for b, gb in g:
             n, m = len(a), len(b)
             if (n, m) not in getters:
                 getters[n, m] = _shuffle_getters(n, m)
             word_getters, key_getters = getters[n, m]
-            ab = a.entries + b.entries
+            ab = a + b
             codes = ((n + m).to_bytes(width, "big"), *map(code.__getitem__, ab))
             keys += [join(get(codes)) for get in key_getters]
             terms += zip(ColouredPermutation._raw_many(
                 [get(ab) for get in word_getters]), repeat(fa * gb))
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    return ColouredConfiguration._normal(tuple(map(terms.__getitem__, order)))
+    return ColouredConfiguration._normal(map(terms.__getitem__, order))
 
 
 def _shuffle_getters(n: int, m: int) -> tuple[list, list]:
@@ -278,39 +273,34 @@ def _shuffle_getters(n: int, m: int) -> tuple[list, list]:
             [itemgetter(0, *[i + 1 for i in pattern]) for pattern in patterns])
 
 
-class LabelledConfiguration:
-    """A configuration together with a label supported on its nonzero colours."""
+class LabelledConfiguration(tuple):
+    """A configuration together with a label supported on its nonzero colours.
 
-    __slots__ = ("config", "label")
+    It is the pair (config, label): it equals, hashes and unpacks as that
+    tuple.
+    """
 
-    def __init__(self, config: ColouredConfiguration, label: Label | None = None):
+    __slots__ = ()
+    config = property(itemgetter(0))
+    label = property(itemgetter(1))
+
+    def __new__(cls, config: ColouredConfiguration, label: Label | None = None):
         label = label or Label()
         stray = label.support() - config.palette_star()
         if stray:
             raise ValueError(
                 f"label supported outside the configuration's colours: {sorted(stray)}")
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "label", label)
+        return tuple.__new__(cls, (config, label))
 
     @classmethod
     def _trusted(cls, config: ColouredConfiguration,
                  label: Label) -> "LabelledConfiguration":
         # no support check: for a label known to fit the configuration's
         # colours, such as the merged label of a nonzero shuffle
-        self = object.__new__(cls)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "label", label)
-        return self
+        return tuple.__new__(cls, (config, label))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LabelledConfiguration is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, LabelledConfiguration)
-                and self.config == other.config and self.label == other.label)
-
-    def __hash__(self):
-        return hash((self.config, self.label))
+    def __getnewargs__(self):
+        return tuple(self)
 
     def __repr__(self):
         return f"LabelledConfiguration({self.config!r}, {self.label!r})"
@@ -320,7 +310,7 @@ class LabelledConfiguration:
     def to_json_obj(self) -> dict:
         return {
             "config": [{"perm": p.to_pairs(), "mult": m}
-                       for p, m in self.config.terms],
+                       for p, m in self.config],
             "label": self.label.to_json_obj(),
         }
 
@@ -334,7 +324,7 @@ class LabelledConfiguration:
         return cls(config, Label.from_json_obj(obj.get("label", [])))
 
     def to_text(self) -> str:
-        lines = [f"{m} * {p}" if len(p) else f"{m} *" for p, m in self.config.terms]
+        lines = [f"{m} * {p}" if len(p) else f"{m} *" for p, m in self.config]
         lines += [f"{c} -> {v}" for c, v in sorted(self.label.assignments.items())]
         return "\n".join(lines) + "\n"
 
@@ -416,8 +406,8 @@ def _relabelled(lc: LabelledConfiguration, symbol_off: int,
     colour_map = {c: i for i, c in
                   enumerate(sorted(config.palette_star()), colour_off + 1)}
     # an order-preserving relabelling keeps the terms distinct and sorted
-    new_config = ColouredConfiguration._normal(tuple(
-        (p.relabel(symbol_map, colour_map), m) for p, m in config.terms))
+    new_config = ColouredConfiguration._normal(
+        (p.relabel(symbol_map, colour_map), m) for p, m in config)
     label = Label({colour_map[c]: v for c, v in lc.label.assignments.items()})
     return LabelledConfiguration(new_config, label)
 

@@ -38,14 +38,16 @@ Coeff = Union[int, Fraction]
 # Laurent polynomial with int coefficients is evaluated at X = 2^(8*width),
 # each digit offset by half its range, so that one bignum product and one
 # unpacking of bytes give every coefficient of a product.  The thresholds
-# were measured with Python 3.11 on a 2-core x86-64 Xeon, on the Laurent
-# products of 250 operations of the file_hadamard and zeta_products bench
-# workloads (coefficients below 2^12): at 6 terms per operand the packed and
-# the dict product tie, at 7 the packed one takes 0.74-0.85 of the time and
-# at 9 to 16 about half.  Over exponent spans of 1, 2 and 4 times the term
-# count it still wins from 16 terms up (random coefficients of up to 50); at
-# 8 times it loses below 64 terms.  A sparser operand, such as X^0 +
-# X^(10^6), keeps the dict product and never becomes a huge int.
+# were measured with Python 3.11 on a 2-core x86-64 Xeon, on Laurent products
+# of the bench workloads (coefficients below 2^12): at 6 terms per operand
+# the packed and the dict product tie, at 7 the packed one takes 0.74-0.85 of
+# the time and at 9 to 16 about half.  Over exponent spans of 1, 2 and 4
+# times the term count it still wins from 16 terms up (random coefficients
+# of up to 50); at 8 times it loses below 64 terms.  A sparser operand, such
+# as X^0 + X^(10^6), keeps the dict product and never becomes a huge int.
+# Its one caller is the series oracle behind ``hadamard --verify``
+# (``SeriesY.hadamard``): one pass of the seed-1 bench streams multiplies
+# 2,716 times on file_hadamard, 1,267 of them packed, and never elsewhere.
 PACK_MIN_TERMS = 7
 PACK_MAX_SPAN = 4
 # array codes of unsigned 1-, 2-, 4- and 8-byte digits; other widths, and
@@ -219,6 +221,9 @@ class LaurentPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
 
     @classmethod
     def zero(cls):

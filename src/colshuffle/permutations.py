@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
 from itertools import repeat
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
@@ -84,12 +83,17 @@ class StatTriple(NamedTuple):
 _TOKEN = re.compile(r"(\d+)(?:\^(\d+))?$")
 
 
-class ColouredPermutation:
-    """An immutable string of coloured integers with distinct symbols."""
+class ColouredPermutation(tuple):
+    """An immutable string of coloured integers with distinct symbols.
 
-    __slots__ = ("entries",)
+    It is the tuple of its entries: it equals, hashes, orders and iterates
+    as that tuple (the empty permutation equals ``()``), and so compares
+    entrywise by the colour order.  ``sort_key`` orders by length first.
+    """
 
-    def __init__(self, entries: Iterable[tuple[int, int] | ColouredInteger]):
+    __slots__ = ()
+
+    def __new__(cls, entries: Iterable[tuple[int, int] | ColouredInteger]):
         ents = tuple(ColouredInteger(int(s), int(c)) for s, c in entries)
         symbols = [e.symbol for e in ents]
         if any(s < 1 for s in symbols):
@@ -98,64 +102,48 @@ class ColouredPermutation:
             raise ValueError("colours must be nonnegative integers")
         if len(symbols) != len(set(symbols)):
             raise ValueError("symbols must be pairwise distinct")
-        object.__setattr__(self, "entries", ents)
+        return tuple.__new__(cls, ents)
 
     @classmethod
     def _raw(cls, entries: tuple[ColouredInteger, ...]) -> "ColouredPermutation":
         # fast constructor for internally generated, already-valid entries
-        self = object.__new__(cls)
-        object.__setattr__(self, "entries", entries)
-        return self
+        return tuple.__new__(cls, entries)
 
     @classmethod
     def _raw_many(cls, words: list[tuple[ColouredInteger, ...]]
                   ) -> list["ColouredPermutation"]:
-        # _raw over a list of entry tuples, with the loops in C
-        perms = list(map(object.__new__, repeat(cls, len(words))))
-        deque(map(cls.entries.__set__, perms, words), maxlen=0)
-        return perms
+        # _raw over a list of entry tuples, with the loop in C
+        return list(map(tuple.__new__, repeat(cls), words))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ColouredPermutation is immutable")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, ColouredPermutation) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __iter__(self) -> Iterator[ColouredInteger]:
-        return iter(self.entries)
+    @property
+    def entries(self) -> "ColouredPermutation":
+        return self
 
     def __repr__(self):
         return f"ColouredPermutation({str(self)!r})"
 
     def __str__(self):
-        return " ".join(f"{e.symbol}^{e.colour}" for e in self.entries)
+        return " ".join(f"{e.symbol}^{e.colour}" for e in self)
 
     # sort key: length first, then entrywise colour order
     def sort_key(self):
-        return (len(self.entries),
-                tuple((-e.colour, e.symbol) for e in self.entries))
+        return (len(self), tuple((-e.colour, e.symbol) for e in self))
 
     def symbols(self) -> frozenset[int]:
-        return frozenset(e.symbol for e in self.entries)
+        return frozenset(e.symbol for e in self)
 
     def palette_star(self) -> frozenset[int]:
-        return frozenset(e.colour for e in self.entries if e.colour != 0)
+        return frozenset(e.colour for e in self if e.colour != 0)
 
     def relabel(self, symbol_map, colour_map) -> "ColouredPermutation":
         """Apply maps to symbols and to nonzero colours."""
         return ColouredPermutation(
             (symbol_map[e.symbol],
              colour_map[e.colour] if e.colour != 0 else 0)
-            for e in self.entries)
+            for e in self)
 
     def to_pairs(self) -> list[list[int]]:
-        return [[e.symbol, e.colour] for e in self.entries]
+        return [[e.symbol, e.colour] for e in self]
 
 
 EMPTY = ColouredPermutation(())
@@ -218,7 +206,7 @@ def stat_triple_raw(entries) -> tuple[int, int, tuple[tuple[int, int], ...]]:
 
 def stat_triple(a: ColouredPermutation) -> StatTriple:
     """des, comaj = sum of (n - i) over descents i, and colour multiplicities."""
-    return StatTriple(*stat_triple_raw(a.entries))
+    return StatTriple(*stat_triple_raw(a))
 
 
 def s_des_raw(entries) -> tuple[tuple[int, int], ...]:
@@ -241,7 +229,7 @@ def s_des_raw(entries) -> tuple[tuple[int, int], ...]:
 
 def s_des(a: ColouredPermutation) -> tuple[tuple[int, int], ...]:
     """The coloured descent set of ``a``, as ``s_des_raw`` gives it."""
-    return s_des_raw(a.entries)
+    return s_des_raw(a)
 
 
 def descent_data(elems: tuple[tuple[int, int], ...]
@@ -304,8 +292,7 @@ def shuffles(a: ColouredPermutation, b: ColouredPermutation) -> list[ColouredPer
         raise SymbolOverlap(f"shared symbols: {sorted(sa & sb)}")
     count = comb(len(a) + len(b), len(a))
     check_cap(count, "the shuffle has {} words", MAX_SHUFFLE_WORDS)
-    words = interleavings(tuple((e,) for e in a.entries),
-                          tuple((e,) for e in b.entries))
+    words = interleavings(tuple((e,) for e in a), tuple((e,) for e in b))
     return ColouredPermutation._raw_many(words)
 
 

@@ -81,15 +81,14 @@ def verify_product_rule(a: ColouredPermutation, b: ColouredPermutation,
             keys = expansions[sdes, m] = _expansion(sdes, m)
         return keys
 
-    da, db = s_des_raw(a.entries), s_des_raw(b.entries)
+    da, db = s_des_raw(a), s_des_raw(b)
     fa, fb = fundamental(da), fundamental(db)
     product = expansions.get((da, db, m))
     if product is None:
         product = expansions[da, db, m] = Counter(
             tuple(sorted(ka + kb)) for ka in fa for kb in fb)
     total: dict[tuple[int, ...], int] = {}
-    for sdes, count in Counter(s_des_raw(c.entries)
-                               for c in shuffles(a, b)).items():
+    for sdes, count in Counter(s_des_raw(c) for c in shuffles(a, b)).items():
         for key in fundamental(sdes):
             total[key] = total.get(key, 0) + count
     return total == product
@@ -129,7 +128,7 @@ def psi_closed_form_check(a: ColouredPermutation, t_order: int) -> bool:
     rest as rows packed like ``psi_rows``.  The left side reads only the
     descent set and colour word, the right side only ``stat_triple``."""
     st = stat_triple(a)
-    colours = [e.colour for e in a.entries]
+    colours = [e.colour for e in a]
     if tuple(sorted(Counter(colours).items())) != st.col:
         return False
     n, m = len(colours), t_order + 1

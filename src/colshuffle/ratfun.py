@@ -73,42 +73,28 @@ def _times_factors(p: Mapping[int, LaurentPoly],
             enumerate(multiply_by_factors(coeffs, factors)) if v}
 
 
-class SeriesY:
-    """Truncated power series in Y with LaurentPoly coefficients."""
+class SeriesY(tuple):
+    """Truncated power series in Y: the tuple of its LaurentPoly
+    coefficients, from Y^0 up.  It equals, hashes, indexes and iterates as
+    that tuple; the empty series equals ``()``."""
 
-    __slots__ = ("coefficients",)
+    __slots__ = ()
 
-    def __init__(self, coefficients: Sequence[LaurentPoly]):
-        object.__setattr__(self, "coefficients", tuple(coefficients))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesY is immutable")
+    @property
+    def coefficients(self) -> "SeriesY":
+        return self
 
     @property
     def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, k: int) -> LaurentPoly:
-        return self.coefficients[k]
-
-    def __len__(self):
-        return len(self.coefficients)
-
-    def __eq__(self, other):
-        return (isinstance(other, SeriesY)
-                and self.coefficients == other.coefficients)
-
-    def __hash__(self):
-        return hash(self.coefficients)
+        return len(self) - 1
 
     def hadamard(self, other: "SeriesY") -> "SeriesY":
         if self.order != other.order:
             raise OrderMismatch(f"orders {self.order} != {other.order}")
-        return SeriesY([a * b for a, b in
-                        zip(self.coefficients, other.coefficients)])
+        return SeriesY([a * b for a, b in zip(self, other)])
 
     def __repr__(self):
-        inner = ", ".join(repr(c) for c in self.coefficients)
+        inner = ", ".join(repr(c) for c in self)
         return f"SeriesY([{inner}])"
 
 
@@ -131,6 +117,9 @@ class RationalGF:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalGF is immutable")
+
+    def __reduce__(self):
+        return RationalGF, (self.numerator, self.denominator)
 
     @classmethod
     def zero(cls) -> "RationalGF":
@@ -312,8 +301,8 @@ def w_of(lc: LabelledConfiguration, eps: int) -> RationalGF:
     empty permutation alone gives 1/(1-Y).
     """
     rows: dict[int, dict[int, dict[int, int]]] = {}
-    for perm, mult in lc.config.terms:
-        des, comaj, _ = stat_triple_raw(perm.entries)
+    for perm, mult in lc.config:
+        des, comaj, _ = stat_triple_raw(perm)
         value = evaluate_label(lc.label, perm)
         by_exp = rows.setdefault(len(perm), {}).setdefault(des, {})
         e = value.exponent + eps * comaj

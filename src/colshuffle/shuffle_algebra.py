@@ -117,7 +117,7 @@ STATISTICS: dict[str, Statistic] = {
     "sdes": _with_raw(s_des, s_des_raw),
     # planted control: not invariant under symbol relabelling
     "first_symbol": _with_raw(
-        lambda a: a.entries[0].symbol if a.entries else 0,
+        lambda a: a[0].symbol if a else 0,
         lambda entries: entries[0][0] if entries else 0),
 }
 

@@ -38,7 +38,7 @@ import functools
 import inspect
 import itertools
 from dataclasses import dataclass, field
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Iterable, Sequence
 
 from .configurations import (ColouredConfiguration, Label,
@@ -56,8 +56,7 @@ __all__ = [
     "hadamard_mde",
     "hadamard_f2d",
     "hadamard_ud",
-    "F2dFormula",
-    "UdFormula",
+    "DirectFormula",
     "hadamard_entries",
     "ZetaHadamardResult",
     "FAMILY_PARAMS",
@@ -105,8 +104,7 @@ def pi_of(perms: Iterable[Sequence[int] | ColouredPermutation]) -> ColouredConfi
                 raise ValueError("input permutations must be uncoloured")
         else:
             word = ColouredPermutation((s, 0) for s in word)
-        choices = [(e, ColouredInteger(e.symbol, e.symbol))
-                   for e in word.entries]
+        choices = [(e, ColouredInteger(e.symbol, e.symbol)) for e in word]
         coloured.extend(map(ColouredPermutation._raw,
                             itertools.product(*choices)))
     return ColouredConfiguration.from_permutations(coloured)
@@ -247,39 +245,12 @@ def hadamard_mde(dims: Sequence[tuple[int, int]]) -> RationalGF:
 
 
 @dataclass(frozen=True)
-class F2dFormula:
-    """Class-counting Hadamard product, valid for odd residue field size.
+class DirectFormula:
+    """A Hadamard product from ``hadamard_f2d`` or ``hadamard_ud``.
 
-    The zeta function of the direct product, evaluated at
-    X^(-sum binom(d_i, 2)) * Y, equals ``rgf``; ``arg_shift`` records that
-    argument scaling.
-    """
-
-    rgf: RationalGF
-    arg_shift: SignedMonomial
-    conditions: tuple[str, ...]
-
-
-def hadamard_f2d(d_list: Sequence[int]) -> F2dFormula:
-    """Hadamard product of the class-counting entries for free
-    class-2-nilpotent groups on d_1, ..., d_n generators: ``hadamard_mde``'s
-    colouring sum with eps = 1, from the W's of the blocks' ``f2d_cc`` rows,
-    whose shifts and conditions it takes."""
-    if not d_list:
-        raise BadParameters("need at least one d")
-    check_at_least(1, d=min(d_list))
-    rows = [build_entry("f2d_cc", d=d) for d in d_list]
-    shift, conditions = _merged(rows)
-    return F2dFormula(hadamard([row.w for row in rows], 1), shift ** -1,
-                      conditions)
-
-
-@dataclass(frozen=True)
-class UdFormula:
-    """Orbit-counting Hadamard product for unitriangular groups.
-
-    ``rgf`` is the product evaluated at X^(-n) * Y; ``t_size`` is the
-    number of underlying uncoloured shuffle words.
+    The zeta function of the product, evaluated at ``arg_shift`` * Y,
+    equals ``rgf`` where ``conditions`` hold; ``t_size`` is the number of
+    underlying uncoloured shuffle words.
     """
 
     rgf: RationalGF
@@ -288,9 +259,26 @@ class UdFormula:
     conditions: tuple[str, ...]
 
 
-def hadamard_ud(d_list: Sequence[int]) -> UdFormula:
+def hadamard_f2d(d_list: Sequence[int]) -> DirectFormula:
+    """Hadamard product of the class-counting entries for free
+    class-2-nilpotent groups on d_1, ..., d_n generators: ``hadamard_mde``'s
+    colouring sum with eps = 1, from the W's of the blocks' ``f2d_cc`` rows,
+    whose shifts and conditions (odd residue field size) it takes.  The
+    argument shift is X^(-sum binom(d_i, 2)), and ``t_size`` is n!, the
+    shuffles of n one-letter blocks."""
+    if not d_list:
+        raise BadParameters("need at least one d")
+    check_at_least(1, d=min(d_list))
+    rows = [build_entry("f2d_cc", d=d) for d in d_list]
+    shift, conditions = _merged(rows)
+    return DirectFormula(hadamard([row.w for row in rows], 1), shift ** -1,
+                         factorial(len(d_list)), conditions)
+
+
+def hadamard_ud(d_list: Sequence[int]) -> DirectFormula:
     """Hadamard product of orbit-counting entries for unitriangular groups
-    of sizes d_1 + 1, ..., d_n + 1 (d_i = 0 contributes an empty block).
+    of sizes d_1 + 1, ..., d_n + 1 (d_i = 0 contributes an empty block),
+    evaluated at X^(-n) * Y.
 
     The sum of (-X)^(-#nonzero colours) Y^des over all colourings of the
     shuffle set of the consecutive increasing blocks, over (1 - Y)^(total
@@ -303,8 +291,8 @@ def hadamard_ud(d_list: Sequence[int]) -> UdFormula:
     rgf = hadamard([_closed([-1] * d, [0] * (d + 1)) for d in d_list], 0)
     t_size = prod(map(comb, itertools.accumulate(d_list), d_list))
     conditions = (_CONDITION_GCD.format(max(d_list, default=0)),)
-    return UdFormula(rgf, SignedMonomial.x_power(-len(d_list)), t_size,
-                     conditions)
+    return DirectFormula(rgf, SignedMonomial.x_power(-len(d_list)), t_size,
+                         conditions)
 
 
 @dataclass(frozen=True)

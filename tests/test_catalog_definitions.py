@@ -111,3 +111,27 @@ def test_f2d_cc_2_counts_the_classes_of_the_heisenberg_group():
     for k, count in ((1, 11), (2, 105)):
         assert heisenberg_class_number(p ** k) == count
         assert coefficient_at(entry.closed_form, k, p) == count
+
+
+def antisymmetric_matrices(d: int, q: int):
+    """Every antisymmetric d x d matrix over Z/q (zero diagonal)."""
+    pairs = list(itertools.combinations(range(d), 2))
+    for entries in itertools.product(range(q), repeat=len(pairs)):
+        a = [[0] * d for _ in range(d)]
+        for (i, j), x in zip(pairs, entries):
+            a[i][j], a[j][i] = x, -x % q
+        yield a
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_so_closed_form_is_the_average_kernel_size(d):
+    """The ask zeta function of so_d at p = 3; at k = 1, so_2 gives
+    p + 1 - 1/p."""
+    entry = build_entry("so", d=d)
+    assert entry.conditions == ("residue characteristic != 2",)
+    p = 3
+    counts = [average_kernel_size(antisymmetric_matrices(d, p ** k), d, p ** k)
+              for k in (1, 2)]
+    assert counts == {1: [3, 9], 2: [Fraction(11, 3), Fraction(35, 3)],
+                      3: [Fraction(35, 9), Fraction(113, 9)]}[d]
+    assert [coefficient_at(entry.closed_form, k, p) for k in (1, 2)] == counts
