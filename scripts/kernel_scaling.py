@@ -9,13 +9,8 @@ distinct blocks, where no operand repeats: ``hadamard_mde`` of
 (2, 1), (3, 2), ..., (k + 1, k) and ``hadamard_f2d`` of 1, 2, ..., k.  For
 k <= 12 each result is also checked against the series oracle, the
 coefficientwise product of the blocks' expansions to order 2k + 1, which
-determines the closed form.
-
-A third table times one Laurent product of two dense polynomials of n
-terms each, for n = 4, 8, ..., 1024, through the dict product and through
-the packed product, by setting ``mpoly.PACK_MIN_TERMS`` (from which
-``LaurentPoly.__mul__`` packs) above n and to 1.  The two products must be equal.
-The script exits 1 on any mismatch.  Stdlib only; run from a checkout:
+determines the closed form.  The script exits 1 on any mismatch.  Stdlib
+only; run from a checkout:
 
     python3 scripts/kernel_scaling.py --max-blocks 40
 """
@@ -23,18 +18,16 @@ The script exits 1 on any mismatch.  Stdlib only; run from a checkout:
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from colshuffle import (LaurentPoly, build_entry, expand,  # noqa: E402
-                        hadamard_f2d, hadamard_mde, mpoly)
+from colshuffle import (build_entry, expand, hadamard_f2d,  # noqa: E402
+                        hadamard_mde)
 
 ORACLE_MAX_BLOCKS = 12
-PRODUCT_TERMS = [2**i for i in range(2, 11)]
 
 
 def block_counts(max_blocks: int) -> list[int]:
@@ -104,38 +97,6 @@ def distinct_table(max_blocks: int) -> bool:
     return ok
 
 
-def time_product(a, b, min_terms: int):
-    """a * b, packed from ``min_terms`` terms on, and its best time."""
-    saved = mpoly.PACK_MIN_TERMS
-    mpoly.PACK_MIN_TERMS = min_terms
-    try:
-        best = float("inf")
-        for _ in range(max(3, 4096 // len(a.coeffs))):
-            start = time.perf_counter()
-            product = a * b
-            best = min(best, time.perf_counter() - start)
-    finally:
-        mpoly.PACK_MIN_TERMS = saved
-    return product, best
-
-
-def product_table() -> bool:
-    """Dict against packed Laurent products; False on a mismatch."""
-    rng = random.Random(0)
-    ok = True
-    print(f"\n{'terms':>6}  {'dict ms':>9}  {'packed ms':>9}  equal")
-    for n in PRODUCT_TERMS:
-        a, b = (LaurentPoly({e - n // 2: rng.randint(-1000, 1000) or 1
-                             for e in range(n)}) for _ in range(2))
-        by_dict, dict_s = time_product(a, b, n + 1)
-        packed, packed_s = time_product(a, b, 1)
-        equal = by_dict == packed
-        ok = ok and equal
-        print(f"{n:>6}  {1e3 * dict_s:>9.3f}  {1e3 * packed_s:>9.3f}  "
-              f"{'ok' if equal else 'MISMATCH'}", flush=True)
-    return ok
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-blocks", type=int, default=60,
@@ -145,7 +106,6 @@ def main(argv=None) -> int:
         parser.error("--max-blocks must be at least 10")
     ok = identical_table(args.max_blocks)
     ok = distinct_table(args.max_blocks) and ok
-    ok = product_table() and ok
     return 0 if ok else 1
 
 

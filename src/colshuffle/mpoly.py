@@ -5,12 +5,12 @@ A ``LaurentPoly`` is a dict from integer exponent of X to nonzero
 coefficient.  A list of them is a series in Y; ``multiply_by_factors`` and
 its inverse ``divide_by_factors`` apply factors 1 - c*X^a*Y one at a time,
 each step one dict pass (``add_mul``).  Results that cannot hold a zero skip
-the constructor's filter.  Products with ``int`` coefficients that are large
-and dense enough are packed into one bignum product (Kronecker substitution,
-see ``PACK_MIN_TERMS``).  The Hadamard product of W series runs on packed
-ints from end to end (``hadamard_numerator``): each operand is packed once,
-every factor step is a shift and an add, and the result is unpacked once, at
-a digit width bounded by the shuffle theorem.
+the constructor's filter.  The one packed series recurrence,
+``packed_series``, evaluates a series at X = 2^(8*width) (Kronecker
+substitution; Harvey, J. Symb. Comput. 2009): each row is packed once and
+every factor step is a shift and an add.  The Hadamard kernel
+(``hadamard_numerator``) multiplies its rows and unpacks the result once;
+the series oracle (``verify.series_oracle``) compares them as ints.
 
 Coefficients are stored as they come: integral ones are plain ``int`` and a
 ``Fraction`` appears only where arithmetic makes a non-integral rational.
@@ -34,22 +34,6 @@ from .errors import MAX_SHUFFLE_WORDS, ZeroSubstitution, check_cap
 
 Coeff = Union[int, Fraction]
 
-# Kronecker substitution (Schoenhage 1982; Harvey, J. Symb. Comput. 2009): a
-# Laurent polynomial with int coefficients is evaluated at X = 2^(8*width),
-# each digit offset by half its range, so that one bignum product and one
-# unpacking of bytes give every coefficient of a product.  The thresholds
-# were measured with Python 3.11 on a 2-core x86-64 Xeon, on Laurent products
-# of the bench workloads (coefficients below 2^12): at 6 terms per operand
-# the packed and the dict product tie, at 7 the packed one takes 0.74-0.85 of
-# the time and at 9 to 16 about half.  Over exponent spans of 1, 2 and 4
-# times the term count it still wins from 16 terms up (random coefficients
-# of up to 50); at 8 times it loses below 64 terms.  A sparser operand, such
-# as X^0 + X^(10^6), keeps the dict product and never becomes a huge int.
-# Its one caller is the series oracle behind ``hadamard --verify``
-# (``SeriesY.hadamard``): one pass of the seed-1 bench streams multiplies
-# 2,716 times on file_hadamard, 1,267 of them packed, and never elsewhere.
-PACK_MIN_TERMS = 7
-PACK_MAX_SPAN = 4
 # array codes of unsigned 1-, 2-, 4- and 8-byte digits; other widths, and
 # every width on a big-endian machine, go through int.to_bytes
 _DIGIT_CODES = ({1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -93,19 +77,29 @@ def _unpacked(value: int, lo: int, width: int) -> dict:
     return {lo + i: d - half for i, d in enumerate(digits) if d != half}
 
 
-def _packed_product(a: dict, b: dict) -> dict | None:
-    """The product of {exponent: int} dicts by Kronecker substitution, or
-    None if a coefficient is not an int or an operand is too sparse."""
-    lo_a, lo_b = min(a), min(b)
-    span_a, span_b = max(a) - lo_a + 1, max(b) - lo_b + 1
-    if (span_a > PACK_MAX_SPAN * len(a) or span_b > PACK_MAX_SPAN * len(b)
-            or {*map(type, a.values()), *map(type, b.values())} != {int}):
-        return None
-    # no coefficient of the product exceeds this bound in absolute value
-    width = _width(max(map(abs, a.values())) * max(map(abs, b.values()))
-                   * min(len(a), len(b)))
-    return _unpacked(_packed(a, lo_a, span_a, width)
-                     * _packed(b, lo_b, span_b, width), lo_a + lo_b, width)
+def integral_rows(rows: Sequence[Mapping]) -> tuple[list[dict], int]:
+    """``rows`` times the lcm of their coefficients' denominators, as
+    {exponent: int} dicts, and that lcm (1 for int rows)."""
+    lcd = lcm(*(c.denominator for row in rows for c in row.values()))
+    return [{e: c.numerator * (lcd // c.denominator) for e, c in row.items()}
+            for row in rows], lcd
+
+
+def packed_series(rows: Sequence[dict], factors: Sequence[tuple[int, int]],
+                  width: int, lo: int, step: int) -> list[int]:
+    """The series rows[0] + rows[1]*Y + ... over prod(1 - c*X^a*Y), int c,
+    through Y^(len(rows) - 1) at X = 2^(8*width), its Y^k coefficient over
+    X^(lo + k*step) for lo at most every exponent of the int ``rows`` (each
+    below half the digit range) and step at most min(0, a): each row is
+    packed once, and b_k += c*X^a*b_(k-1) is a left shift and an add."""
+    packed = [_packed(row, lo + k * step, max(row) - lo - k * step + 1,
+                      width) if row else 0 for k, row in enumerate(rows)]
+    for c, a in factors:
+        shift = 8 * width * (a - step)
+        for k in range(1, len(packed)):
+            term = packed[k - 1] << shift
+            packed[k] += term if c == 1 else c * term
+    return packed
 
 
 def _balanced_product(values: list[int]) -> int:
@@ -127,12 +121,11 @@ def hadamard_numerator(operands: Sequence[tuple[Mapping[int, dict], int, int]],
     product series through Y^N times (1 - Y) ... (1 - X^(N*eps) Y) is
     returned as N + 1 dicts, one per Y-degree.
 
-    Each operand is scaled to ints by the lcm of its denominators and its
-    Y^k coefficients are packed once, digit 0 at X^(lo + k*min(0, eps*n))
-    for its least exponent lo, so that every factor step is a left shift.
-    Only the result's coefficients must fit in a digit, and the shuffle
-    theorem bounds them: the product is bilinear, X-powers factor out of
-    it, and c*X^e*Y^d over the W denominator of n, d <= n, is a monomial
+    Each operand is scaled to ints (``integral_rows``) and expanded through
+    Y^N on packed ints (``packed_series``) once.  Only the result's
+    coefficients must fit in a digit, and the shuffle theorem bounds them:
+    the product is bilinear, X-powers factor out of it, and c*X^e*Y^d over
+    the W denominator of n, d <= n, is a monomial
     times the W of a coloured word of length n with d descents.  So it is a
     signed sum over N!/prod(n!^mult) shuffles, each adding one monomial,
     and no scaled coefficient, of the result or of an operand, exceeds
@@ -148,17 +141,13 @@ def hadamard_numerator(operands: Sequence[tuple[Mapping[int, dict], int, int]],
     # the expansion and N in the multiplication back
     scaled, scale, digits = [], 1, 2 * order * order * abs(eps) + 1
     for num, n, mult in operands:
-        rows = [num.get(k, {}) for k in range(order + 1)]
-        if not any(rows):
+        rows, lcd = integral_rows([num.get(k, {}) for k in range(order + 1)])
+        exps = [e for row in rows for e in row]
+        if not exps:
             return [{} for _ in range(order + 1)]
-        lo = min(min(row) for row in rows if row)
-        digits += mult * (max(max(row) for row in rows if row) - lo)
-        # int and Fraction alike have a numerator and a denominator
-        lcd = lcm(*(c.denominator for row in rows for c in row.values()))
-        rows = [{e: c.numerator * (lcd // c.denominator)
-                 for e, c in row.items()} for row in rows]
+        digits += mult * (max(exps) - min(exps))
         norm = sum(abs(c) for row in rows for c in row.values())
-        scaled.append((rows, n, mult, lo, norm))
+        scaled.append((rows, n, mult, min(exps), norm))
         scale *= lcd ** mult
     check_cap(digits, "the Hadamard product spans up to {} X-exponents",
               MAX_SHUFFLE_WORDS)
@@ -168,20 +157,12 @@ def hadamard_numerator(operands: Sequence[tuple[Mapping[int, dict], int, int]],
     width = _width(bound)
     check_cap(digits * width, "the Hadamard product packs up to {} bytes",
               MAX_SHUFFLE_WORDS)
-    bits = 8 * width
-    # pack and expand each operand; the product's Y^k digit 0 stands for
-    # X^(base + k*low)
+    # the product's Y^k digit 0 stands for X^(base + k*low)
     series, base, low = [], 0, 0
     for rows, n, mult, lo, _ in scaled:
         step = min(0, eps * n)
-        packed = [_packed(row, lo + k * step, max(row) - lo - k * step + 1,
-                          width) if row else 0
-                  for k, row in enumerate(rows)]
-        for i in range(n + 1):
-            shift = bits * (eps * i - step)
-            for k in range(1, order + 1):
-                packed[k] += packed[k - 1] << shift
-        series.append((packed, mult))
+        factors = [(1, eps * i) for i in range(n + 1)]
+        series.append((packed_series(rows, factors, width, lo, step), mult))
         base += mult * lo
         low += mult * step
     # coefficientwise: a power per repeated operand, a tree across distinct
@@ -189,7 +170,7 @@ def hadamard_numerator(operands: Sequence[tuple[Mapping[int, dict], int, int]],
                                   for packed, mult in series])
                for k in range(order + 1)]
     for i in range(order + 1):  # times the N + 1 factors, from Y^N down
-        shift = bits * (eps * i - low)
+        shift = 8 * width * (eps * i - low)
         for k in range(order, 0, -1):
             product[k] -= product[k - 1] << shift
     out = []
@@ -270,15 +251,10 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if min(len(a), len(b)) >= PACK_MIN_TERMS:
-            packed = _packed_product(a, b)
-            if packed is not None:
-                return self._trusted(packed)
         out: dict = {}
         get = out.get
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
+        for k1, c1 in self.coeffs.items():
+            for k2, c2 in other.coeffs.items():
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
         return self._trusted({k: c for k, c in out.items() if c})

@@ -229,20 +229,24 @@ def _series_terms(r: RationalGF, order: int) -> int:
                (max(exps) - min(exps) + 1) * slots + spread0 * sum_k)
 
 
-def expand(r: RationalGF, order: int = DEFAULT_ORDER) -> SeriesY:
-    """Exact Y-power-series expansion of ``r`` through Y^order.
-
-    Multiplying the result back by the denominator reproduces the numerator
-    through the truncation order.  A negative Y-degree in the numerator, or
-    an order at which ``_series_terms`` is over ``MAX_SHUFFLE_WORDS``,
-    raises ``BadParameters`` before the series is allocated.
-    """
+def check_expandable(r: RationalGF, order: int) -> None:
+    """The refusals of ``expand`` and the series oracle, in order: an order
+    below 0, a ``_series_terms`` over the cap, a negative Y-degree."""
     check_at_least(0, order=order)
     check_cap(_series_terms(r, order), f"the series through Y^{order} may "
               "have {} terms", MAX_SHUFFLE_WORDS)
     if r.numerator and min(r.numerator) < 0:
         raise BadParameters(f"cannot expand the negative Y-degree "
                             f"{min(r.numerator)} as a power series")
+
+
+def expand(r: RationalGF, order: int = DEFAULT_ORDER) -> SeriesY:
+    """Exact Y-power-series expansion of ``r`` through Y^order, on dicts,
+    independent of the packed routes; ``check_expandable`` refuses first.
+
+    Multiplying the result back by the denominator reproduces the numerator
+    through the truncation order."""
+    check_expandable(r, order)
     coeffs = [r.numerator.get(k, LaurentPoly.zero()) for k in range(order + 1)]
     return SeriesY(divide_by_factors(coeffs, r.denominator))
 

@@ -18,10 +18,11 @@ from .configurations import (ColouredConfiguration, Label,
 from .errors import (MAX_SHUFFLE_WORDS, BadParameters, UnknownSuite,
                      check_at_least, check_cap)
 from .errors import MAX_SHUFFLE_WORDS as MAX_SUITE_SIZE
+from .mpoly import _width, integral_rows, packed_series
 from .permutations import (ColouredPermutation, all_coloured_permutations,
                            s_des)
 from .qsym import psi_closed_form_check, verify_product_rule
-from .ratfun import RationalGF, expand, w_of
+from .ratfun import RationalGF, check_expandable, w_of
 from .shuffle_algebra import (STATISTICS, check_shuffle_compatibility,
                               hadamard_general, hadamard_via_theorem)
 from .zeta import FAMILY_PARAMS, MAX_UNITRIANGULAR_D, build_entry
@@ -121,15 +122,54 @@ def random_coherent_pair(rng: random.Random, max_support: int = 3,
             LabelledConfiguration(rhs_config, Label(rhs_assignments)))
 
 
+def _oracle_side(r: RationalGF, order: int) -> tuple:
+    """After ``check_expandable``: ``r``'s int rows, factors and scale, l1
+    bounds of its series' rows (|b_k| <= |a_k| + |c|*|b_(k-1)| per factor),
+    and lo, step, hi: its Y^k coefficient's exponents are lo + k*step..hi."""
+    check_expandable(r, order)
+    if any(c.denominator != 1 for c, _ in r.denominator):
+        raise ValueError(f"{r.denominator_text()} has a non-integral factor")
+    factors = [(c.numerator, a) for c, a in r.denominator]
+    rows, scale = integral_rows([r.numerator[k].coeffs if k in r.numerator
+                                 else {} for k in range(order + 1)])
+    norms = [sum(map(abs, row.values())) for row in rows]
+    for c, _ in factors:
+        for k in range(1, order + 1):
+            norms[k] += abs(c) * norms[k - 1]
+    exps = [e for row in rows for e in row] or [0]
+    dens = [0, *(a for _, a in factors)]
+    return (rows, factors, scale, norms, min(exps), min(dens),
+            max(exps) + order * max(dens))
+
+
 def series_oracle(lhs: LabelledConfiguration, rhs: LabelledConfiguration,
                   closed: RationalGF, eps: int, order: int) -> bool:
     """Whether ``closed`` expands, through Y^order, to the coefficientwise
-    product of the expansions of the operands' W.  The three expansions run
-    in the order lhs, rhs, closed, so an order over ``expand``'s cap raises
-    at the first."""
-    oracle = expand(w_of(lhs, eps), order).hadamard(
-        expand(w_of(rhs, eps), order))
-    return expand(closed, order) == oracle
+    product of the expansions of the operands' W.
+
+    No series is built: the numerators are packed once and divided by their
+    denominators (``mpoly.packed_series``), and each Y^k product of the
+    operands is compared with ``closed``'s as one int, at a digit width that
+    holds every row's and product's l1 bound, so the ints are equal exactly
+    when the polynomials are.  Refusals, in order, for lhs, rhs and closed:
+    ``check_expandable``'s and ``ValueError`` for a non-integral denominator
+    coefficient; then ``BadParameters`` for a packed int over the cap."""
+    lrows, lf, ls, ln, llo, lstep, lhi = _oracle_side(w_of(lhs, eps), order)
+    rrows, rf, rs, rn, rlo, rstep, rhi = _oracle_side(w_of(rhs, eps), order)
+    crows, cf, cs, cn, clo, cstep, chi = _oracle_side(closed, order)
+    if not (any(lrows) and any(rrows)):  # the product is 0
+        return not any(crows)
+    if not any(crows):  # only the product's exponents take digits
+        clo, cstep, chi = llo + rlo, lstep + rstep, lhi + rhi
+    lo, step = min(llo + rlo, clo), min(lstep + rstep, cstep)
+    width = _width(max(*ln, *rn, *(a * b * cs for a, b in zip(ln, rn)),
+                       max(cn) * ls * rs))
+    check_cap((max(lhi + rhi, chi) - lo - order * step + 1) * width,
+              "the series oracle packs up to {} bytes", MAX_SHUFFLE_WORDS)
+    lp = packed_series(lrows, lf, width, lo - rlo, step - rstep)
+    rp = packed_series(rrows, rf, width, rlo, rstep)
+    cp = packed_series(crows, cf, width, lo, step)
+    return all(a * b * cs == c * ls * rs for a, b, c in zip(lp, rp, cp))
 
 
 def theorem_suite(trials: int = 200, order: int = 10, seed: int = 0,

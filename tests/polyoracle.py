@@ -6,7 +6,9 @@ variables: schoolbook products in an extra series variable t, the embedding
 of statistic classes into Q[p, x][[t]] with Hadamard multiplication
 (``HImage``, ``h_map``, ``h_tilde_map``, ``h_of``; Gessel and Zhuang,
 Adv. Math. 2018, arXiv:1706.00750), and the monomial expansion of the
-fundamental quasisymmetric functions (``expand_F``).
+fundamental quasisymmetric functions (``expand_F``).  The series oracle
+behind ``hadamard --verify`` is checked against its dict route,
+``expanded_series_oracle``.
 
 ``MPoly`` keys its coefficients by monomials.  A variable is a hashable
 tuple, e.g. ``("x",)``, ``("p", 2)`` or ``("x", 3, 1)``, and a monomial is a
@@ -24,7 +26,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from colshuffle import (ColouredPermutation, ColshuffleError, LaurentPoly,
-                        RationalGF, SeriesY, StatTriple, stat_triple)
+                        RationalGF, SeriesY, StatTriple, expand, stat_triple,
+                        w_of)
 from colshuffle.mpoly import divide_by_factors
 from colshuffle.permutations import s_des_raw
 from colshuffle.qsym import _expansion
@@ -226,3 +229,14 @@ def scale_y_series(series: SeriesY, coeff, exponent: int) -> SeriesY:
     """Substitute Y <- (coeff*X^exponent) * Y in a truncated series."""
     return SeriesY([c.mul_monomial(exponent * k, coeff ** k)
                     for k, c in enumerate(series.coefficients)])
+
+
+def expanded_series_oracle(lhs, rhs, closed: RationalGF, eps: int,
+                           order: int) -> bool:
+    """The series oracle on ``expand``'s dict route: whether ``closed``
+    expands, through Y^order, to the coefficientwise product of the
+    expansions of the operands' W.  ``verify.series_oracle`` gives the same
+    verdicts on packed ints."""
+    oracle = expand(w_of(lhs, eps), order).hadamard(
+        expand(w_of(rhs, eps), order))
+    return expand(closed, order) == oracle

@@ -16,8 +16,9 @@ from hypothesis import given, strategies as st
 import colshuffle
 from colshuffle import (BadParameters, ColouredConfiguration,
                         ColouredPermutation, LaurentPoly, RationalGF,
-                        check_shuffle_compatibility, config_shuffle, shuffles,
-                        verify)
+                        check_shuffle_compatibility, config_shuffle,
+                        hadamard_via_theorem, parse_labelled_configuration,
+                        shuffles, verify)
 from colshuffle.cli import _write_json, build_parser, main
 from colshuffle.ratfun import hadamard
 from colshuffle.shuffle_algebra import STATISTICS
@@ -233,6 +234,39 @@ def test_out_of_range_bounds_are_usage_errors(argv, config_files, capsys):
     assert "Traceback" not in err
 
 
+def test_hadamard_verify_fails_on_a_wrong_closed_form(config_files, capsys,
+                                                      monkeypatch):
+    """A closed form whose constant term is 1 off prints FAIL after the
+    output and exits 1, with nothing on stderr."""
+    def wrong_theorem(lhs, rhs, eps):
+        lc, closed = hadamard_via_theorem(lhs, rhs, eps)
+        numerator = dict(closed.numerator)
+        numerator[0] = numerator.get(0, LaurentPoly.zero()) + LaurentPoly.one()
+        return lc, RationalGF(numerator, closed.denominator)
+
+    monkeypatch.setattr("colshuffle.cli.hadamard_via_theorem", wrong_theorem)
+    left, right = config_files
+    code, out, err = run(capsys, "hadamard", left, right, "--verify", "6")
+    assert code == 1
+    assert out.endswith("\nFAIL\n")
+    assert err == ""
+
+
+def test_hadamard_verify_refuses_a_wide_label_spread(tmp_path, capsys):
+    """A label exponent of 10^7 would spread the series oracle's packed
+    rows over 2 * 10^7 digits; it is refused before any packing."""
+    left = tmp_path / "left.txt"
+    left.write_text("1 * 1^0\n1 * 1^1\n1 -> X^10000000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hadamard", str(left),
+                         str(GOLDEN / "right.txt"), "--verify", "8")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the series oracle packs up to ")
+    assert err.count("\n") == 1
+
+
 def test_hadamard_over_the_shuffle_cap(tmp_path, capsys):
     # 3 x 3 term pairs of length 10: 9 * C(20, 10) = 1,662,804 words
     paths = []
@@ -430,6 +464,15 @@ def _spread(top):
     return RationalGF({0: LaurentPoly({0: 1, top: 1})}, [(1, 0)])
 
 
+def _oracle_spread(top):
+    """The series oracle through Y^8 on an operand whose label exponent
+    spreads its W's rows over ``top`` X-exponents."""
+    lhs = parse_labelled_configuration(f"1 * 1^0\n1 * 1^1\n1 -> X^{top}\n")
+    rhs = parse_labelled_configuration("1 * 2^0\n")
+    _, closed = hadamard_via_theorem(lhs, rhs, 1)
+    return verify.series_oracle(lhs, rhs, closed, 1, 8)
+
+
 @pytest.mark.parametrize("refused,count", [
     (lambda: shuffles(_word(1, 12), _word(13, 24)), 2704156),
     (lambda: config_shuffle(ColouredConfiguration([(_word(1, 12), 1)]),
@@ -437,6 +480,7 @@ def _spread(top):
      2704156),
     (lambda: hadamard([_spread(10**6)], 0), 1000001),
     (lambda: hadamard_mde([(2, 1)] * 200), 14516381),
+    (lambda: _oracle_spread(10**6), 2000038),
     (lambda: check_shuffle_compatibility(STATISTICS["des"], max_len=7,
                                          colours=3), 11022480),
     (lambda: verify.qsym_suite(max_len=5, colours=3), 4528384),
@@ -446,8 +490,8 @@ def _spread(top):
     (lambda: verify.random_coherent_pair(random.Random(0), max_support=33,
                                          max_len=6), 1006236),
 ], ids=["shuffles", "config_shuffle", "kernel_digits", "kernel_bytes",
-        "harness", "qsym_words", "qsym_expansion", "psi_words", "psi_table",
-        "random_coherent_pair"])
+        "oracle_bytes", "harness", "qsym_words", "qsym_expansion",
+        "psi_words", "psi_table", "random_coherent_pair"])
 def test_every_library_cap_names_its_count_and_the_cap(refused, count):
     with pytest.raises(BadParameters) as exc:
         refused()

@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from colshuffle import LaurentPoly, mpoly
-from colshuffle.mpoly import (PACK_MAX_SPAN, PACK_MIN_TERMS, _packed_product,
-                              divide_by_factors, multiply_by_factors)
+from colshuffle import LaurentPoly
+from colshuffle.mpoly import divide_by_factors, multiply_by_factors
 from conftest import assert_no_zero_stored, laurent_polys
 from polyoracle import MPoly, monomial, monomial_mul
 
@@ -157,7 +156,7 @@ def test_multiply_by_factors_is_the_truncated_product(coeffs, factors):
     assert t_series(multiply_by_factors(coeffs, factors)) == truncated
 
 
-# -- packed Laurent products ---------------------------------------------------
+# -- Laurent products against the schoolbook ----------------------------------
 
 def schoolbook(a, b):
     """The product of two Laurent polynomials, term by term."""
@@ -177,11 +176,11 @@ SCALES = (1, 2**7, 2**8, 2**63, 2**64, 2**65, 2**200)
 
 @st.composite
 def dense_laurent_polys(draw):
-    """A Laurent polynomial of 1 to 3*PACK_MIN_TERMS terms on a span of at
-    most PACK_MAX_SPAN times its term count, at a drawn coefficient scale."""
-    n = draw(st.integers(1, 3 * PACK_MIN_TERMS))
+    """A Laurent polynomial of 1 to 21 terms on a span of at most 4 times
+    its term count, at a drawn coefficient scale."""
+    n = draw(st.integers(1, 21))
     low = draw(st.integers(-30, 30))
-    exponents = draw(st.lists(st.integers(low, low + PACK_MAX_SPAN * n - 1),
+    exponents = draw(st.lists(st.integers(low, low + 4 * n - 1),
                               min_size=n, max_size=n, unique=True))
     scale = draw(st.sampled_from(SCALES))
     values = st.integers(-scale, scale).filter(bool)
@@ -191,7 +190,6 @@ def dense_laurent_polys(draw):
 @given(dense_laurent_polys(), dense_laurent_polys())
 def test_packed_product_is_the_schoolbook_product(a, b):
     expected = schoolbook(a, b)
-    assert _packed_product(a.coeffs, b.coeffs) == expected
     product = a * b
     assert product.coeffs == expected
     assert_no_zero_stored(product)
@@ -207,7 +205,6 @@ def test_packed_product_at_the_digit_width_boundaries(n, bits):
             a = dense([sign_a] * n, low=-n)
             b = dense([sign_b * t] * n, low=3)
             expected = schoolbook(a, b)
-            assert _packed_product(a.coeffs, b.coeffs) == expected
             assert (a * b).coeffs == expected
 
 
@@ -216,7 +213,6 @@ def test_packed_product_cancels():
     # every odd coefficient cancels to zero
     n = 8
     a, b = dense([1] * n), dense([(-1) ** i for i in range(n)])
-    assert _packed_product(a.coeffs, b.coeffs) is not None
     product = a * b
     assert product.coeffs == {0: 1, 2: 1, 4: 1, 6: 1,
                               8: -1, 10: -1, 12: -1, 14: -1}
@@ -227,27 +223,9 @@ def test_packed_product_cancels():
     assert (big * (a - a)).is_zero()
 
 
-def test_products_pack_from_the_threshold_on(monkeypatch):
-    packed = []
-
-    def spy(a, b):
-        packed.append((len(a), len(b)))
-        return _packed_product(a, b)
-
-    monkeypatch.setattr(mpoly, "_packed_product", spy)
-    for n in (PACK_MIN_TERMS - 1, PACK_MIN_TERMS, PACK_MIN_TERMS + 1):
-        a, b = dense(range(1, n + 1), low=-2), dense(range(-n, 0))
-        assert (a * b).coeffs == schoolbook(a, b)
-        assert (a * dense([1] * 2 * n)).coeffs == \
-            schoolbook(a, dense([1] * 2 * n))
-    assert packed == [(n, m) for n in (PACK_MIN_TERMS, PACK_MIN_TERMS + 1)
-                      for m in (n, 2 * n)]
-
-
 def test_fraction_coefficients_take_the_dict_product():
     a = dense([1, 2, Fraction(1, 3), -4, 5, 6, 7, 8], low=-2)
     b = dense(range(1, 9))
-    assert _packed_product(a.coeffs, b.coeffs) is None
     assert (a * b).coeffs == schoolbook(a, b)
     assert (a * b).coeffs[-2] == 1
     assert (b * a) == a * b
@@ -256,11 +234,8 @@ def test_fraction_coefficients_take_the_dict_product():
 
 def test_sparse_operands_take_the_dict_product():
     a = LaurentPoly({0: 1, 10**6: 1})
-    assert _packed_product(a.coeffs, a.coeffs) is None
     assert (a * a).coeffs == {0: 1, 10**6: 2, 2 * 10**6: 1}
-    # at the packing size, one far exponent keeps the operand sparse
-    wide = dense([1] * PACK_MIN_TERMS) + LaurentPoly({10**6: -1})
-    assert _packed_product(wide.coeffs, wide.coeffs) is None
+    wide = dense([1] * 7) + LaurentPoly({10**6: -1})
     assert (wide * wide).coeffs == schoolbook(wide, wide)
 
 
